@@ -497,9 +497,12 @@ def _trapz(y, x):
 def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory,
                     form: str = "envelope", c_lo: float = 1e-8,
                     c_hi: float = 1e8, iters: int = 60) -> float:
-    """Smallest C_REI making the (envelope of the) relative energy inequality
-    hold on a trusted pair; the envelope form tests
-    R(t) <= R(0) exp(C int K_hat) and is monotone in C."""
+    """Smallest C_REI making the envelope of the relative energy inequality,
+    R(t) <= R(0) exp(C int K_hat), hold on a trusted pair; the test is
+    monotone in C.  ``form`` must be "envelope", the only form whose
+    feasibility depends on C."""
+    if form != "envelope":
+        raise ValueError(f"unknown calibration form {form!r}")
     ops, mat, pot = traj.ops, traj.material, traj.potential
     times = traj.time_array()
     refs = _align(traj, ref_traj)
@@ -510,13 +513,9 @@ def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory,
     if R[0] <= 0.0:
         raise ValueError("calibration needs R(0) > 0 (perturbed initial data)")
 
-    def feasible_envelope(c):
+    def feasible(c):
         return bool(np.all(R <= R[0] * np.exp(c * cumK) * (1.0 + 1e-12)))
 
-    def feasible_full(c):
-        return rei_check(traj, ref_traj, c_rei=c).passed
-
-    feasible = feasible_envelope if form == "envelope" else feasible_full
     if feasible(c_lo):
         return c_lo
     if not feasible(c_hi):

@@ -406,7 +406,9 @@ def run_strong(config: ScenarioConfig):
     """Integrate the regularized spectral system; returns (Trajectory, BlowupMonitor).
 
     Hitting the psi_max threshold stops the run and is reported as the
-    numerical local-existence horizon, not as an error.
+    numerical local-existence horizon, not as an error.  A step whose stage
+    solves fail at the smallest substep raises StageError with the partial
+    trajectory and the failed step attached.
     """
     mesh = build_mesh(config.N, config.L)
     ops = assemble_operators(mesh)
@@ -492,9 +494,14 @@ def run_strong(config: ScenarioConfig):
     stride = max(1, int(config.output_stride))
     for k in range(1, steps + 1):
         kind = "be" if k <= settings.startup_steps else "midpoint"
-        state, recs = step_regularized(sops, state, tau, forcing_modal,
-                                       tol_ode=config.tolerances.ode,
-                                       kind=kind)
+        try:
+            state, recs = step_regularized(sops, state, tau, forcing_modal,
+                                           tol_ode=config.tolerances.ode,
+                                           kind=kind)
+        except StageError as exc:
+            exc.partial_trajectory = traj
+            exc.failed_step = k
+            raise
         stage_log.extend(recs)
         traj.step_reports.append(StepReport(step=k))
         if k % stride == 0 or k == steps:

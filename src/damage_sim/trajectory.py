@@ -23,18 +23,12 @@ __all__ = ["Snapshot", "StepReport", "Trajectory", "write_csv", "write_json"]
 SCHEMA_VERSION = 1
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
 def write_csv(path, header, columns) -> None:
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def write_json(path, payload: dict) -> None:

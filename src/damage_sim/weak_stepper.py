@@ -25,11 +25,13 @@ testing step 1 with chi^{k-1} and step 2 with u^k - u^{k-1} telescopes into
 the discrete energy-dissipation inequality exactly (up to the inner-solver
 tolerance); the diagnostics module evaluates the same discrete functionals.
 
-The inner solver is accelerated proximal gradient (FISTA with restart and
-backtracking) followed by an active-set semismooth Newton polish on the
-reduced tridiagonal system.  Positivity of chi is never imposed: when the
-degradation coefficient a is nondecreasing, convex, and vanishes on the
-negative axis, the minimizer is automatically nonnegative, and the
+Step 1 is solved by the primal-dual active-set method, a semismooth Newton
+iteration on the reduced tridiagonal system started from the clipped previous
+state.  Accelerated proximal gradient (FISTA with restart and backtracking)
+is only the fallback, for a Newton iteration that stalls, cycles or hits its
+cap, and for graphs without Newton data.  Positivity of chi is never imposed:
+when the degradation coefficient a is nondecreasing, convex, and vanishes on
+the negative axis, the minimizer is automatically nonnegative, and the
 truncation consistency check verifies that after the fact.
 """
 
@@ -187,76 +189,52 @@ def damage_tau_max(potential: PotentialSplit) -> float:
     return 1.0 / (2.0 * c * c)
 
 
-def _reduced_banded(J: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    sub = np.zeros((2, idx.size))
-    sub[1] = J[1, idx]
-    adjacent = np.diff(idx) == 1
-    sub[0, 1:][adjacent] = J[0, idx[1:][adjacent]]
-    return sub
+def _reduced_tridiag(J: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows and columns idx of the symmetric banded (upper, diag) J, in the
+    general (upper, diag, lower) layout of solve_banded((1, 1), ...)."""
+    ab = np.zeros((3, idx.size))
+    ab[1] = J[1, idx]
+    off = np.where(np.diff(idx) == 1, J[0, idx[1:]], 0.0)
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    return ab
 
 
 def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
-                max_fista: int = 400, max_polish: int = 60,
-                hard_cap: int = 20000) -> tuple:
-    """Minimize P over the obstacle set; returns (chi, StepReport)."""
+                max_polish: int | None = None, hard_cap: int = 20000) -> tuple:
+    """Minimize P over the obstacle set; returns (chi, StepReport).
+
+    Newton first; FISTA rounds of 200 iterations (at most ``hard_cap`` in
+    all) run only when the polish fails or the graph has neither a
+    derivative nor piecewise-affine data.  ``max_polish`` defaults to N:
+    a front of active nodes can recede by one node per iteration.
+    """
     t_start = time.perf_counter()
-    chi = sub.chi_prev.copy()
-    obj0 = sub.objective(chi)
-
-    state = {"L": sub.lipschitz_guess(), "iters": 0}
-
-    def fista_round(x, iters):
-        y = x.copy()
-        t_acc = 1.0
-        kkt = math.inf
-        L = state["L"]
-        for _ in range(iters):
-            state["iters"] += 1
-            gy = sub.smooth_grad(y)
-            fy = sub.smooth_value(y)
-            for _ in range(60):
-                z = sub.prox_project(y - gy / L, 1.0 / L)
-                dz = z - y
-                quad = fy + float(np.dot(gy, dz)) + 0.5 * L * float(np.dot(dz, dz))
-                if sub.smooth_value(z) <= quad + 1e-15 * (1.0 + abs(quad)):
-                    break
-                L *= 2.0
-            x_new = z
-            if float(np.dot(gy, x_new - x)) > 0.0:   # adaptive restart
-                t_acc = 1.0
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            y = x_new + ((t_acc - 1.0) / t_new) * (x_new - x)
-            x, t_acc = x_new, t_new
-            kkt = sub.kkt_residual(x, 1.0 / L)
-            if kkt <= tol_inner:
-                break
-        state["L"] = L
-        return x, kkt
-
-    graph = sub.graph
-    polishable = (graph.derivative is not None) or (graph.pw_jumps is not None)
-    newton_iters = 0
-
-    x, kkt = fista_round(chi, max_fista if not polishable else 40)
+    x = sub.chi_prev.copy()
+    obj0 = sub.objective(x)
+    L = sub.lipschitz_guess()
+    polishable = (sub.graph.derivative is not None
+                  or sub.graph.pw_jumps is not None)
+    max_polish = sub.w.size if max_polish is None else max_polish
+    fista_iters = newton_iters = 0
+    kkt = math.inf
     while kkt > tol_inner:
         if polishable:
-            x, its = _active_set_polish(sub, x, tol_inner, max_polish,
-                                        state["L"])
+            x, its, kkt = _active_set_polish(sub, x, tol_inner, max_polish, L)
             newton_iters += its
-            kkt = sub.kkt_residual(x, 1.0 / state["L"])
             if kkt <= tol_inner:
                 break
-        if state["iters"] >= hard_cap:
+        if fista_iters >= hard_cap:
             break
-        x, kkt = fista_round(x, 200 if polishable else 500)
+        x, kkt, L, its = _fista(sub, x, 200, L, tol_inner)
+        fista_iters += its
 
     if kkt > tol_inner:
         raise DamageSolveError(
             f"damage minimization stalled at KKT residual {kkt:.3e}")
-    fista_iters = state["iters"]
 
     chi = np.minimum(x, sub.upper)   # tolerance-level feasibility snap
-    report = StepReport(
+    return chi, StepReport(
         step=-1,
         inner_iterations=fista_iters,
         newton_iterations=newton_iters,
@@ -265,33 +243,61 @@ def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
         active_count=int(np.sum(sub.upper - chi <= 1e-12)),
         wall_time=time.perf_counter() - t_start,
     )
-    return chi, report
+
+
+def _fista(sub: DamageSubproblem, x: np.ndarray, iters: int, L: float,
+           tol: float) -> tuple:
+    """FISTA with backtracking and adaptive restart; returns (x, kkt, L, its)."""
+    y = x.copy()
+    t_acc = 1.0
+    for it in range(1, iters + 1):
+        gy = sub.smooth_grad(y)
+        fy = sub.smooth_value(y)
+        for _ in range(60):
+            z = sub.prox_project(y - gy / L, 1.0 / L)
+            dz = z - y
+            quad = fy + float(np.dot(gy, dz)) + 0.5 * L * float(np.dot(dz, dz))
+            if sub.smooth_value(z) <= quad + 1e-15 * (1.0 + abs(quad)):
+                break
+            L *= 2.0
+        if float(np.dot(gy, z - x)) > 0.0:   # adaptive restart
+            t_acc = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        y = z + ((t_acc - 1.0) / t_new) * (z - x)
+        x, t_acc = z, t_new
+        kkt = sub.kkt_residual(x, 1.0 / L)
+        if kkt <= tol:
+            break
+    return x, kkt, L, it
 
 
 def _active_set_polish(sub: DamageSubproblem, x: np.ndarray, tol: float,
                        max_iter: int, scale: float) -> tuple:
-    """Primal-dual active set iteration on the reduced tridiagonal system."""
+    """Primal-dual active set iteration on the reduced tridiagonal system;
+    returns (chi, Newton steps, KKT residual).  Stops on a stalled step or
+    when an active set other than the last one recurs (cycling)."""
     graph = sub.graph
-    box = graph.pw_jumps is not None
-    lb = np.full(x.size, -np.inf)
-    ub = sub.upper.copy()
-    if box:
-        lo, hi = graph.domain
-        lb = np.full(x.size, lo)
-        ub = np.minimum(ub, hi)
+    lo, hi = graph.domain if graph.pw_jumps is not None else (-np.inf, np.inf)
+    lb = np.full(x.size, lo)
+    ub = np.minimum(sub.upper, hi)
     has_smooth = graph.derivative is not None
 
     def residual(c):
-        if has_smooth:
-            return sub.smooth_grad(c) + sub.w * graph.minimal_section(c)
-        return sub.smooth_grad(c)
+        R = sub.smooth_grad(c)
+        return R + sub.w * graph.minimal_section(c) if has_smooth else R
 
     chi = np.clip(x, lb, ub)
+    kkt = math.inf
+    seen, last = set(), None
     for it in range(1, max_iter + 1):
         R = residual(chi)
         act_up = (-R + scale * (chi - ub)) > 0.0
         act_lo = (R + scale * (lb - chi)) > 0.0
-        act_lo &= np.isfinite(lb)
+        key = np.packbits(act_up).tobytes() + np.packbits(act_lo).tobytes()
+        if key != last and key in seen:
+            return chi, it - 1, kkt
+        seen.add(key)
+        last = key
         inactive = ~(act_up | act_lo)
 
         chi_new = chi.copy()
@@ -307,25 +313,16 @@ def _active_set_polish(sub: DamageSubproblem, x: np.ndarray, tol: float,
             idx = np.flatnonzero(inactive)
             # residual at the snapped point, coupling to active values included
             Rs = residual(chi_new)
-            Jr = _reduced_banded(J, idx)
-            d = solve_banded((1, 1), _sym_to_general(Jr), -Rs[idx])
+            d = solve_banded((1, 1), _reduced_tridiag(J, idx), -Rs[idx])
             chi_new[idx] += d
             chi_new[idx] = np.clip(chi_new[idx], lb[idx], ub[idx])
         stalled = (np.max(np.abs(chi_new - chi))
                    <= 1e-16 * (1.0 + np.max(np.abs(chi))))
         chi = chi_new
-        if stalled or sub.kkt_residual(chi, 1.0 / scale) <= tol:
+        kkt = sub.kkt_residual(chi, 1.0 / scale)
+        if stalled or kkt <= tol:
             break
-    return chi, it
-
-
-def _sym_to_general(ab: np.ndarray) -> np.ndarray:
-    """Symmetric banded (upper, diag) -> general (upper, diag, lower)."""
-    gen = np.zeros((3, ab.shape[1]))
-    gen[0] = ab[0]
-    gen[1] = ab[1]
-    gen[2, :-1] = ab[0, 1:]
-    return gen
+    return chi, it, kkt
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,13 @@ def test_calibrated_envelope_transfers_to_smaller_perturbation():
     assert rep.envelope_ok(0.5)
 
 
+def test_calibrate_rejects_forms_other_than_envelope():
+    traj = run_weak(_weak_config(K=5))
+    for form in ("full", "slack", ""):
+        with pytest.raises(ValueError, match="form"):
+            calibrate_c_rei(traj, traj, form=form)
+
+
 def test_calibrate_requires_perturbed_data():
     cfg = _weak_config(K=5)
     traj = run_weak(cfg)

@@ -15,8 +15,10 @@ from damage_sim.model import (
     scalar_fn,
 )
 from damage_sim.regularization import make_I_delta, make_W_delta, graph_quadratic, regularize
+import damage_sim.strong_galerkin as sg
 from damage_sim.strong_galerkin import (
     RegParams,
+    StageError,
     StrongOperators,
     chi_from_omega,
     chi_rate_from_omega_rate,
@@ -286,3 +288,24 @@ def test_blowup_monitor_reports_exploratory_formula():
     _, mon = run_strong(cfg)
     assert mon.growth_beta == pytest.approx(16.0)   # 4*rho + 12 with rho = 1
     assert mon.horizon_formula is not None
+
+
+def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
+    cfg = _strong_config(strong=StrongSettings(n_modes=6, delta=0.05, nu=1e-6,
+                                               steps=10, varpi0="slaved"))
+    tau = cfg.T / 10
+    real = sg._stage_solve
+
+    def failing(sops, state, dt, *args, **kw):
+        if state.t >= 2.0 * tau - 1e-12:        # every stage of step 3 fails
+            raise StageError("injected stage failure")
+        return real(sops, state, dt, *args, **kw)
+
+    monkeypatch.setattr(sg, "_stage_solve", failing)
+    with pytest.raises(StageError) as info:
+        run_strong(cfg)
+    assert info.value.failed_step == 3
+    traj = info.value.partial_trajectory
+    assert traj.mode == "strong"
+    assert len(traj.step_reports) == 2
+    assert traj.times == pytest.approx([0.0, tau, 2.0 * tau])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from damage_sim.config import standard_suite
 from damage_sim.discretization import (
     assemble_operators,
     banded_quadform,
@@ -160,6 +161,34 @@ def test_inner_solver_against_enumeration_random_qp():
         chi, _ = damage_step(sub)
         ref = kkt_enumeration(sub, slope=1.0, center=0.0, a_kind="linear")
         assert np.max(np.abs(chi - ref)) <= 1e-8
+
+
+def test_damage_step_newton_alone_on_quadratic_suite_run():
+    # the active-set Newton iteration finishes every step; FISTA never runs
+    traj = run_weak(standard_suite()["quadratic"])
+    reports = traj.step_reports
+    assert len(reports) == 400
+    assert all(r.inner_iterations == 0 for r in reports)
+    assert all(r.newton_iterations >= 1 for r in reports)
+
+
+def test_damage_step_fista_fallback_matches_newton_path():
+    # a damage front under a load bump needs many Newton steps; capping the
+    # polish at one step forces the FISTA fallback, which must reach the
+    # same minimizer
+    ops = assemble_operators(build_mesh(101, 1.0))
+    pot = make_potential("indicator_box", {"ell": 1.0})
+    x = ops.mesh.nodes
+    u_prev = 2.0 * np.exp(-((x - 0.4) / 0.12) ** 2)
+    sub = assemble_damage_subproblem(ops, material(), pot, u_prev,
+                                     np.ones(101), 0.0025)
+    chi, rep = damage_step(sub)
+    assert rep.inner_iterations == 0 and rep.newton_iterations > 1
+    chi_fb, rep_fb = damage_step(sub, max_polish=1)
+    assert rep_fb.inner_iterations > 0
+    assert rep_fb.kkt_residual <= 1e-10
+    assert np.max(np.abs(chi_fb - chi)) <= 1e-10
+    assert np.min(chi) < 0.9          # the front is really there
 
 
 # ---------------------------------------------------------------------------
