@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,7 +50,6 @@ __all__ = [
     "build_scenario",
     "load_scenario",
     "config_digest",
-    "standard_suite",
 ]
 
 
@@ -205,11 +205,7 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     pot_group = f.group("potential")
     pot_name = pot_group.pop("name", "quadratic")
     potential = make_potential(pot_name, pot_group)
-    material = MaterialLaw(
-        a=material.a, b=material.b, b_floor=material.b_floor, C=material.C,
-        V=material.V, ell=potential.ell, growth_p=material.growth_p,
-        growth_q=material.growth_q, gamma0=material.gamma0,
-        gamma1=material.gamma1, gamma2=material.gamma2)
+    material = replace(material, ell=potential.ell)
 
     init_group = f.group("initial")
     u0 = _initial_field(init_group, "u0")
@@ -301,122 +297,3 @@ def config_digest(flat: dict) -> str:
     canon = json.dumps(flat, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
-
-# ---------------------------------------------------------------------------
-# Standard scenario suite (text form, so the CLI and the tests share it)
-# ---------------------------------------------------------------------------
-
-_SUITE = {
-    "quadratic": """
-label = "quadratic"
-mode = "weak"
-mesh.N = 201
-time.T = 1.0
-time.K = 400
-material.a = "quadratic_plus"
-material.b = "constant"
-potential.name = "quadratic"
-initial.u0 = "cosine_mix"
-initial.u0_coeffs = 0.0, 0.1
-initial.chi0 = "constant"
-initial.chi0_value = 0.9
-forcing.kind = "sin_t"
-forcing.amplitude = 0.5
-forcing.profile = "cosine_mix"
-forcing.profile_coeffs = 0.2, 1.0
-""",
-    "logarithmic": """
-label = "logarithmic"
-mode = "weak"
-mesh.N = 201
-time.T = 1.0
-time.K = 400
-material.a = "quadratic_plus"
-material.b = "constant"
-potential.name = "logarithmic"
-potential.c1 = 1.0
-initial.u0 = "bump"
-initial.u0_amplitude = 0.3
-initial.u0_center = 0.5
-initial.u0_width = 0.12
-initial.chi0 = "constant"
-initial.chi0_value = 0.8
-forcing.kind = "sin_t"
-forcing.amplitude = 1.5
-forcing.profile = "cosine_mix"
-forcing.profile_coeffs = 0.0, 1.0
-""",
-    "indicator_box": """
-label = "indicator_box"
-mode = "weak"
-mesh.N = 201
-time.T = 1.0
-time.K = 400
-material.a = "quadratic_plus"
-material.b = "constant"
-potential.name = "indicator_box"
-potential.ell = 1.0
-initial.u0 = "bump"
-initial.u0_amplitude = 0.5
-initial.u0_center = 0.4
-initial.u0_width = 0.12
-initial.chi0 = "constant"
-initial.chi0_value = 1.0
-forcing.kind = "sin_t"
-forcing.amplitude = 2.0
-forcing.profile = "cosine_mix"
-forcing.profile_coeffs = 0.3, 1.0
-""",
-    "strong_damage": """
-label = "strong_damage"
-mode = "weak"
-mesh.N = 201
-time.T = 1.0
-time.K = 400
-material.a = "quadratic_plus"
-material.a_scale = 2.0
-material.b = "quadratic_floor"
-material.b_scale = 0.5
-potential.name = "quadratic"
-potential.center = 1.0
-initial.u0 = "bump"
-initial.u0_amplitude = 0.4
-initial.u0_center = 0.5
-initial.u0_width = 0.1
-initial.chi0 = "constant"
-initial.chi0_value = 1.0
-forcing.kind = "sin_t"
-forcing.amplitude = 3.0
-forcing.freq = 0.5
-forcing.profile = "cosine_mix"
-forcing.profile_coeffs = 0.0, 1.0, 0.5
-""",
-    "robin_loaded": """
-label = "robin_loaded"
-mode = "weak"
-mesh.N = 201
-time.T = 1.0
-time.K = 400
-material.a = "quadratic_plus"
-material.b = "constant"
-material.gamma1 = 0.5
-material.gamma2 = 1.0
-potential.name = "quadratic"
-initial.u0 = "zero"
-initial.chi0 = "constant"
-initial.chi0_value = 0.95
-boundary.kind = "sin_t"
-boundary.amplitude = 0.3
-boundary.weights = 1.0, -1.0
-""",
-}
-
-
-def standard_suite() -> dict:
-    """The five acceptance scenarios (N=201, K=400, T=1)."""
-    return {name: build_scenario(parse_config_text(text))
-            for name, text in _SUITE.items()}
-
-
-def suite_text(name: str) -> str:
-    return _SUITE[name]

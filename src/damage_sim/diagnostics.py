@@ -476,22 +476,19 @@ def rei_check(traj: Trajectory, ref_traj: Trajectory, c_rei: float = 1.0,
         sign_ok &= bool(cpl[k] <= tol)
     cumK = _cumtrapz(Kv, times)
     rhs = R[0] * np.exp(cumK)
-    integrand = (W - cpl)
-    slack = np.zeros(n)
-    for k in range(n):
-        weights = np.exp(cumK[k] - cumK[: k + 1])
-        slack[k] = rhs[k] - R[k] - _trapz(integrand[: k + 1] * weights,
-                                          times[: k + 1])
+    # trapezoid rule for int_0^{t_k} g(s) e^{int_s^{t_k} K} ds, g = W - coupling;
+    # the weights factor, so each integral grows from the previous one
+    g = W - cpl
+    integral = np.zeros(n)
+    for k in range(1, n):
+        decay = math.exp(cumK[k] - cumK[k - 1])
+        half_dt = 0.5 * (times[k] - times[k - 1])
+        integral[k] = decay * (integral[k - 1] + half_dt * g[k - 1]) + half_dt * g[k]
+    slack = rhs - R - integral
     return RelativeReport(times=times, R=R, W=W, K=Kv, coupling=cpl, rhs=rhs,
                           slack=slack, sup_R=float(np.max(R)),
                           sign_ok=sign_ok, feasible=feasible, c_rei=c_rei,
                           tol=tol)
-
-
-def _trapz(y, x):
-    if len(y) < 2:
-        return 0.0
-    return float(np.trapezoid(y, x))
 
 
 def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory,

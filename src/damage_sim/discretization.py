@@ -3,9 +3,8 @@
 Discrete conventions used throughout the package (they are chosen so that
 the time-discrete energy-dissipation inequality telescopes exactly):
 
-  * mass matrix M: consistent P1 by default (tridiagonal h/6 (1,4,1)),
-    lumped by flag; the lumped weights w_i = h (h/2 at the ends) double as
-    nodal quadrature weights;
+  * mass matrix M: consistent P1 (tridiagonal h/6 (1,4,1)); the lumped
+    weights w_i = h (h/2 at the ends) serve as nodal quadrature weights;
   * stiffness matrix S: tridiagonal (-1, 2, -1)/h with Neumann ends, so
     xi^T S xi = int |xi'|^2 for P1 fields and S 1 = 0;
   * weighted stiffness S_c for int c(x) u' v': elementwise coefficient equal
@@ -16,10 +15,14 @@ the time-discrete energy-dissipation inequality telescopes exactly):
         ||z||_{H2}^2 = ||z||_M^2 + |z|_S^2 + ||Delta_h z||_{W_L}^2,
         ||z||_{H3}^2 = ||z||_{H2}^2 + |Delta_h z|_S^2.
 
-The eigenbasis solves the generalized symmetric problem V S y = lambda M y:
-the 1D Neumann form of the vector eigenproblem used for the spectral
-discretization of the momentum balance.  The first eigenpair is the exact
-constant with lambda_0 = 0; all later modes have zero M-mean.
+The eigenbasis holds the eigenpairs of the generalized symmetric problem
+V S y = lambda M y: the 1D Neumann form of the vector eigenproblem used for
+the spectral discretization of the momentum balance.  On the uniform mesh
+they are known in closed form: with theta_k = k pi h/L, the sampled cosines
+y_k(x_i) = cos(k pi x_i/L) satisfy, row by row and ends included,
+    M y_k = (2 + cos theta_k)/3 W_L y_k,   S y_k = (2 - 2 cos theta_k)/h^2 W_L y_k,
+so no eigensolve is needed.  The first eigenpair is the exact constant with
+lambda_0 = 0; all later modes have zero M-mean.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, solveh_banded
+from scipy.linalg import solveh_banded
 
 __all__ = [
     "Mesh1D",
@@ -52,12 +55,6 @@ class Mesh1D:
     L: float
     h: float
     nodes: np.ndarray
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("mesh needs at least 3 nodes")
-        if self.L <= 0:
-            raise ValueError("domain length must be positive")
 
 
 def build_mesh(N: int, L: float) -> Mesh1D:
@@ -85,22 +82,14 @@ def banded_quadform(ab: np.ndarray, x: np.ndarray, y: Optional[np.ndarray] = Non
     return float(np.dot(x, banded_matvec(ab, y)))
 
 
-def banded_to_dense(ab: np.ndarray) -> np.ndarray:
-    n = ab.shape[1]
-    dense = np.diag(ab[1])
-    dense += np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
-    return dense
-
-
 @dataclass(frozen=True)
 class Operators:
     """P1 mass/stiffness operators on a uniform mesh (banded symmetric)."""
 
     mesh: Mesh1D
-    M: np.ndarray            # (2, N) banded mass matrix (consistent or lumped)
+    M: np.ndarray            # (2, N) banded consistent mass matrix
     S: np.ndarray            # (2, N) banded stiffness matrix
     w: np.ndarray            # lumped nodal quadrature weights
-    lumped: bool
 
     def mass_matvec(self, x):
         return banded_matvec(self.M, x)
@@ -152,25 +141,21 @@ class Operators:
         return 0.5 * (c[:-1] + c[1:])
 
 
-def assemble_operators(mesh: Mesh1D, lumped_mass: bool = False) -> Operators:
+def assemble_operators(mesh: Mesh1D) -> Operators:
     N, h = mesh.N, mesh.h
     w = np.full(N, h)
     w[0] = w[-1] = 0.5 * h
 
-    if lumped_mass:
-        M = np.zeros((2, N))
-        M[1] = w
-    else:
-        M = np.zeros((2, N))
-        M[1] = 2.0 * h / 3.0
-        M[1, 0] = M[1, -1] = h / 3.0
-        M[0, 1:] = h / 6.0
+    M = np.zeros((2, N))
+    M[1] = 2.0 * h / 3.0
+    M[1, 0] = M[1, -1] = h / 3.0
+    M[0, 1:] = h / 6.0
 
     S = np.zeros((2, N))
     S[1] = 2.0 / h
     S[1, 0] = S[1, -1] = 1.0 / h
     S[0, 1:] = -1.0 / h
-    return Operators(mesh=mesh, M=M, S=S, w=w, lumped=lumped_mass)
+    return Operators(mesh=mesh, M=M, S=S, w=w)
 
 
 def weighted_stiffness_banded(mesh: Mesh1D, coeff_nodal, scale: float = 1.0) -> np.ndarray:
@@ -218,42 +203,38 @@ def neumann_eigenbasis(mesh: Mesh1D, V: float, n: int,
                        tol_eig: float = 1e-9) -> EigenBasis:
     """Lowest n+1 Neumann eigenpairs of the operator -d/dx (V d/dx).
 
-    The basis spans {1, y_1, ..., y_n}; modes k >= 1 have zero M-mean and
-    residuals ||V S y - lambda M y|| (in the M^{-1} dual norm) below tol_eig.
+    Closed form of V S y = lambda M y on the uniform mesh, with
+    theta_k = k pi h / L:
+
+        y_k(x_i) = cos(k pi x_i / L) / ||.||_M,
+        lambda_k = (6 V / h^2) (1 - cos theta_k) / (2 + cos theta_k).
+
+    The basis spans {1, y_1, ..., y_n}; modes k >= 1 have zero M-mean (the
+    trapezoid sum of a sampled cosine vanishes) and y_k(0) > 0.  Each pair
+    is checked against its residual ||V S y - lambda M y|| in the M^{-1}
+    dual norm, which must stay below tol_eig (1 + |lambda|).
     """
     if V <= 0:
         raise ValueError("V must be positive")
     if n < 0 or n >= mesh.N - 1:
         raise ValueError("mode count must satisfy 0 <= n < N-1")
     ops = ops if ops is not None else assemble_operators(mesh)
-    A = V * banded_to_dense(ops.S)
-    B = banded_to_dense(ops.M)
-    vals, vecs = eigh(A, B, subset_by_index=[0, n])
-
-    ones = np.ones(mesh.N)
-    mass_tot = banded_quadform(ops.M, ones)
-    vecs[:, 0] = ones / np.sqrt(mass_tot)
-    vals[0] = 0.0
-
-    for k in range(1, n + 1):
-        yk = vecs[:, k]
-        mean = banded_quadform(ops.M, ones, yk) / mass_tot
-        yk = yk - mean
-        nrm = np.sqrt(banded_quadform(ops.M, yk))
-        yk /= nrm
-        anchor = yk[0] if abs(yk[0]) > 1e-8 else yk[int(np.argmax(np.abs(yk)))]
-        if anchor < 0:
-            yk = -yk
-        vecs[:, k] = yk
+    k = np.arange(n + 1)
+    theta = np.pi * mesh.h / mesh.L * k
+    vecs = np.cos(np.outer(mesh.nodes, np.pi / mesh.L * k))
+    # ||cos||_M^2 = (2 + cos theta)/3 times the trapezoid sum of cos^2,
+    # which is L for the constant and L/2 for every other mode
+    norm_sq = mesh.L * (2.0 + np.cos(theta)) / 3.0
+    norm_sq[1:] *= 0.5
+    vecs /= np.sqrt(norm_sq)
+    # 1 - cos(theta) written as 2 sin^2(theta/2) to avoid cancellation
+    vals = (12.0 * V / mesh.h ** 2 * np.sin(0.5 * theta) ** 2
+            / (2.0 + np.cos(theta)))
 
     # residual in the M^{-1} dual norm, relative to the eigenvalue scale
-    Mb = ops.M if not ops.lumped else None
     for k in range(n + 1):
         r = V * banded_matvec(ops.S, vecs[:, k]) - vals[k] * banded_matvec(ops.M, vecs[:, k])
-        if ops.lumped:
-            rn = float(np.sqrt(np.dot(r, r / ops.w)))
-        else:
-            rn = float(np.sqrt(np.dot(r, solveh_banded(Mb, r))))
+        rn = float(np.sqrt(np.dot(r, solveh_banded(ops.M, r))))
         if rn > tol_eig * (1.0 + abs(vals[k])):
             raise EigenSolveError(
                 f"eigenpair {k} residual {rn:.3e} exceeds tol {tol_eig:.3e}")

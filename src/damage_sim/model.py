@@ -14,7 +14,7 @@ and carried by a proximal rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -453,10 +453,8 @@ class StrongSettings:
         if self.schedule_n is None:
             return self
         n = int(self.schedule_n)
-        return StrongSettings(
-            n_modes=self.n_modes, delta=2.0 ** -n, nu=2.0 ** (-4 * n),
-            steps=self.steps, schedule_n=n, varpi0=self.varpi0,
-            psi_max=self.psi_max, startup_steps=self.startup_steps)
+        # nu_n^(1/2)/delta_n = 2^-n -> 0 along the schedule
+        return replace(self, delta=2.0 ** -n, nu=2.0 ** (-4 * n), schedule_n=n)
 
 
 def _as_nodal(data, nodes: np.ndarray) -> np.ndarray:

@@ -50,10 +50,9 @@ from .discretization import (
     banded_quadform,
     build_mesh,
     neumann_eigenbasis,
-    weighted_stiffness_banded,
 )
 from .forcing import Forcing
-from .model import MaterialLaw, PotentialSplit, ScenarioConfig
+from .model import MaterialLaw, PotentialSplit, ScenarioConfig, StrongSettings
 from .regularization import RegularizedFunction, make_I_delta, make_W_delta
 from .trajectory import Snapshot, StepReport, Trajectory
 
@@ -91,9 +90,8 @@ class RegParams:
 
     @classmethod
     def from_schedule(cls, n: int, varpi0: float = 0.0) -> "RegParams":
-        # nu_n^(1/2)/delta_n = 2^-n -> 0 along the schedule
-        return cls(delta=2.0 ** -n, nu=2.0 ** (-4 * n), schedule_n=n,
-                   varpi0=varpi0)
+        s = StrongSettings(schedule_n=n).resolved()
+        return cls(delta=s.delta, nu=s.nu, schedule_n=n, varpi0=varpi0)
 
     @property
     def scaling_ratio(self) -> float:
@@ -194,14 +192,17 @@ class StrongOperators:
                 - self.potential.ell * chi - chi)
 
     def modal_matrices(self, chi):
-        Y = self.basis.vectors
-        Sb = weighted_stiffness_banded(self.ops.mesh, self.material.b(chi),
-                                       scale=self.material.V)
-        Sa = weighted_stiffness_banded(self.ops.mesh, self.material.a(chi),
-                                       scale=self.material.C)
-        SbY = np.column_stack([banded_matvec(Sb, Y[:, j]) for j in range(Y.shape[1])])
-        SaY = np.column_stack([banded_matvec(Sa, Y[:, j]) for j in range(Y.shape[1])])
-        return Y.T @ SbY, Y.T @ SaY
+        """D = Y^T S_{b(chi)V} Y and A = Y^T S_{a(chi)C} Y, each formed as
+        dY^T diag(c_e/h) dY from the nodal differences dY of the basis."""
+        dY = np.diff(self.basis.vectors, axis=0)
+        h = self.ops.mesh.h
+
+        def gram(coeff, modulus):
+            ce = modulus / h * self.ops.element_mean(coeff)
+            return dY.T @ (ce[:, None] * dY)
+
+        return (gram(self.material.b(chi), self.material.V),
+                gram(self.material.a(chi), self.material.C))
 
     def bsym(self, chi) -> np.ndarray:
         B = self.ops.S.copy()

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from damage_sim.config import standard_suite
 from damage_sim.diagnostics import (
     calibrate_c_rei,
     discrete_edi_check,
@@ -46,6 +45,7 @@ from damage_sim.weak_stepper import (
 )
 
 from oracles import kkt_enumeration, modal_exact_solution
+from suite_configs import config_text, standard_suite
 
 
 def report(criterion, ok, detail):
@@ -335,9 +335,8 @@ def test_criterion_11_delta_nu_ladder():
 def test_criterion_12_determinism(tmp_path):
     from test_cli import STRONG_SMALL, dir_digest, write_cfg
     from damage_sim.cli import run_scenario
-    from damage_sim.config import suite_text
 
-    weak_cfg = write_cfg(tmp_path, suite_text("indicator_box")
+    weak_cfg = write_cfg(tmp_path, config_text("indicator_box")
                          .replace("mesh.N = 201", "mesh.N = 41")
                          .replace("time.K = 400", "time.K = 25"), "w.cfg")
     strong_cfg = write_cfg(tmp_path, STRONG_SMALL, "s.cfg")

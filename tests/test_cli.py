@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from damage_sim.cli import main, run_scenario
-from damage_sim.config import (
-    build_scenario,
-    parse_config_text,
-    standard_suite,
-    suite_text,
-)
+from damage_sim.config import build_scenario, parse_config_text
+
+from suite_configs import config_text, standard_suite
 
 ZERO_DATA = """
 label = "zero"
@@ -91,7 +88,7 @@ def test_suite_configs_build():
 # ---------------------------------------------------------------------------
 
 def test_validate_mode_shape_preset(tmp_path):
-    cfg = write_cfg(tmp_path, suite_text("quadratic"))
+    cfg = write_cfg(tmp_path, config_text("quadratic"))
     out = tmp_path / "out"
     status = run_scenario(cfg, "validate", str(out))
     assert status == 0
@@ -172,6 +169,30 @@ def test_eigs_mode(tmp_path):
     assert basis.shape[0] == 21
 
 
+def test_eigs_mode_fine_mesh(tmp_path):
+    cfg = write_cfg(tmp_path, ZERO_DATA.replace("mesh.N = 21", "mesh.N = 4097")
+                    + "eigs.n_modes = 3\n")
+    out = tmp_path / "out"
+    assert run_scenario(cfg, "eigs", str(out)) == 0
+    vals = np.genfromtxt(out / "eigenvalues.csv", delimiter=",", skip_header=1)
+    assert abs(vals[1, 1] - np.pi**2) / np.pi**2 <= 1e-6
+    basis = np.genfromtxt(out / "eigenbasis.csv", delimiter=",", names=True)
+    assert basis.shape[0] == 4097
+
+
+def test_strong_mode_fine_mesh(tmp_path):
+    cfg = write_cfg(tmp_path, STRONG_SMALL
+                    .replace("mesh.N = 33", "mesh.N = 2049")
+                    .replace("time.T = 0.2", "time.T = 0.02")
+                    .replace("strong.steps = 20", "strong.steps = 4"))
+    out = tmp_path / "out"
+    assert run_scenario(cfg, "strong", str(out)) == 0
+    monitor = json.loads((out / "monitor.json").read_text())
+    assert monitor["verdict"] == "completed"
+    report = json.loads((out / "report.json").read_text())
+    assert report["mean_identity_residual_max"] <= 1e-9
+
+
 def test_regularize_demo_mode(tmp_path):
     cfg = write_cfg(tmp_path, ZERO_DATA
                     + 'regularize.graph = "indicator_halfline"\n'
@@ -214,7 +235,7 @@ def test_exit_code_two_on_failed_validation(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_weak_rerun_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, suite_text("robin_loaded")
+    cfg = write_cfg(tmp_path, config_text("robin_loaded")
                     .replace("mesh.N = 201", "mesh.N = 41")
                     .replace("time.K = 400", "time.K = 20"))
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -29,7 +29,7 @@ from damage_sim.strong_galerkin import run_strong
 from damage_sim.trajectory import Snapshot
 from damage_sim.weak_stepper import run_weak
 
-from oracles import simpson_energy
+from oracles import rei_slack_quadratic, simpson_energy
 
 
 def material(a="quadratic_plus", **kw):
@@ -395,6 +395,18 @@ def test_rei_sign_term_nonpositive_on_feasible_pairs():
     rep = rei_check(traj2, traj)
     assert rep.sign_ok
     assert np.all(rep.coupling <= 1e-9)
+
+
+def test_rei_slack_matches_quadratic_sum_on_compare_pair():
+    # a weak run against a strong run on the twice refined mesh and time
+    # grid, as compare mode pairs them
+    mat = MaterialLaw(a=scalar_fn("cubic_plus"), b=scalar_fn("constant"))
+    weak = run_weak(_weak_config(N=21, T=0.25, K=25, material=mat))
+    strong, _ = run_strong(_strong_config(output_stride=2))
+    rep = rei_check(weak, strong)
+    ref = rei_slack_quadratic(rep)
+    assert rep.slack.size == 26 and np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(rep.slack - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_calibrated_envelope_transfers_to_smaller_perturbation():

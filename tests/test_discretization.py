@@ -3,13 +3,15 @@ import pytest
 import sympy as sp
 
 from damage_sim.discretization import (
+    EigenSolveError,
     assemble_operators,
     banded_quadform,
-    banded_to_dense,
     build_mesh,
     neumann_eigenbasis,
     weighted_stiffness_banded,
 )
+
+from oracles import banded_to_dense, dense_neumann_eigenpairs
 
 
 def test_build_mesh_examples():
@@ -17,10 +19,9 @@ def test_build_mesh_examples():
     assert np.allclose(mesh.nodes, [0.0, 0.5, 1.0])
     assert mesh.h == 0.5
     assert build_mesh(101, 2.0).h == pytest.approx(0.02)
-    with pytest.raises(ValueError):
-        build_mesh(2, 1.0)
-    with pytest.raises(ValueError):
-        build_mesh(5, -1.0)
+    for N, L in ((1, 1.0), (2, 1.0), (5, 0.0), (5, -1.0)):
+        with pytest.raises(ValueError):
+            build_mesh(N, L)
 
 
 def test_stiffness_matches_symbolic_integration_on_3_nodes():
@@ -150,11 +151,20 @@ def test_mode_count_precondition():
         neumann_eigenbasis(mesh, 1.0, 10)
 
 
-def test_lumped_mass_flag():
-    ops = assemble_operators(build_mesh(7, 1.0), lumped_mass=True)
-    assert ops.lumped
-    dense = banded_to_dense(ops.M)
-    assert np.allclose(dense, np.diag(ops.w))
+def test_eigenbasis_matches_dense_eigensolve():
+    for N in (101, 1025):
+        ops = assemble_operators(build_mesh(N, 1.0))
+        basis = neumann_eigenbasis(ops.mesh, 1.0, 12, ops=ops)
+        vals, vecs = dense_neumann_eigenpairs(ops, 1.0, 12)
+        assert np.max(np.abs(basis.vectors - vecs)) <= 1e-10
+        assert np.all(np.abs(basis.eigenvalues - vals)
+                      <= 1e-10 * (1.0 + np.abs(vals)))
+
+
+def test_eigen_residual_gate_raises():
+    mesh = build_mesh(101, 1.0)
+    with pytest.raises(EigenSolveError, match="residual"):
+        neumann_eigenbasis(mesh, 1.0, 5, tol_eig=1e-16)
 
 
 def test_eigenbasis_csv_export(tmp_path):

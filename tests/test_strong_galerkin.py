@@ -3,9 +3,9 @@ import pytest
 
 from damage_sim.discretization import (
     assemble_operators,
-    banded_to_dense,
     build_mesh,
     neumann_eigenbasis,
+    weighted_stiffness_banded,
 )
 from damage_sim.model import (
     MaterialLaw,
@@ -25,7 +25,7 @@ from damage_sim.strong_galerkin import (
     run_strong,
 )
 
-from oracles import modal_exact_solution
+from oracles import banded_to_dense, modal_exact_solution
 
 
 def strong_material(**kw):
@@ -141,6 +141,22 @@ def test_chi_rate_against_dense_factorization():
     B = banded_to_dense(sops.bsym(chi))
     ref = np.linalg.solve(B, sops.ops.w * omega_t)
     assert np.max(np.abs(rate - ref)) <= 1e-10
+
+
+def test_modal_matrices_against_dense_weighted_stiffness():
+    sops = make_sops(N=41, n_modes=6,
+                     material=strong_material(b=scalar_fn("quadratic_floor",
+                                                          floor=1.0, scale=0.5)))
+    rng = np.random.default_rng(7)
+    chi = rng.uniform(0.2, 1.0, 41)
+    Y = sops.basis.vectors
+    D, A = sops.modal_matrices(chi)
+    for got, coeff, modulus in ((D, sops.material.b(chi), sops.material.V),
+                                (A, sops.material.a(chi), sops.material.C)):
+        S = banded_to_dense(weighted_stiffness_banded(sops.ops.mesh, coeff,
+                                                      scale=modulus))
+        ref = Y.T @ S @ Y
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

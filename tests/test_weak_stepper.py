@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from damage_sim.config import standard_suite
 from damage_sim.discretization import (
     assemble_operators,
     banded_quadform,
@@ -35,6 +34,7 @@ from damage_sim.weak_stepper import (
 )
 
 from oracles import dense_objective, kkt_enumeration
+from suite_configs import standard_suite
 
 
 def material(a="quadratic_plus", **kw):
