@@ -29,7 +29,6 @@ from .regularization import (
     regularization_property_check,
     regularize,
     resolvent,
-    smooth_yosida_eval,
     standard_mollifier,
     yosida_eval,
 )

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -173,6 +172,10 @@ def _initial_field(group: dict, name: str):
 def build_scenario(flat: dict) -> ScenarioConfig:
     f = _Flat(flat)
 
+    pot_group = f.group("potential")
+    pot_name = pot_group.pop("name", "quadratic")
+    potential = make_potential(pot_name, pot_group)
+
     mat_group = f.group("material")
     a_name = mat_group.pop("a", "quadratic_plus")
     a_params = {}
@@ -192,7 +195,7 @@ def build_scenario(flat: dict) -> ScenarioConfig:
         b_floor=float(mat_group.pop("b_floor", 1.0)),
         C=float(mat_group.pop("C", 1.0)),
         V=float(mat_group.pop("V", 1.0)),
-        ell=float(mat_group.pop("ell", 0.0)),
+        ell=potential.ell,
         growth_p=float(mat_group.pop("growth_p", 1.0)),
         growth_q=float(mat_group.pop("growth_q", 1.0)),
         gamma0=float(mat_group.pop("gamma0", 1.0)),
@@ -201,11 +204,6 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     )
     if mat_group:
         raise ConfigError(f"unknown material keys: {sorted(mat_group)}")
-
-    pot_group = f.group("potential")
-    pot_name = pot_group.pop("name", "quadratic")
-    potential = make_potential(pot_name, pot_group)
-    material = replace(material, ell=potential.ell)
 
     init_group = f.group("initial")
     u0 = _initial_field(init_group, "u0")

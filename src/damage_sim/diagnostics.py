@@ -273,18 +273,6 @@ def one_sided_vi_residual(snap: Snapshot, test_bank: Sequence[np.ndarray],
 # Strong-mode regularized energy balance
 # ---------------------------------------------------------------------------
 
-class _PotentialTable:
-    """Cubic-spline table of a regularized potential over a field range."""
-
-    def __init__(self, reg, lo: float, hi: float, n: int = 4097):
-        pad = 0.1 * (hi - lo) + 1e-6
-        xs = np.linspace(lo - pad, hi + pad, n)
-        self.spline = CubicSpline(xs, reg.potential_on_grid(xs))
-
-    def __call__(self, x):
-        return self.spline(x)
-
-
 def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     """|regularized energy identity residual| per output time.
 
@@ -308,7 +296,10 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     nu = params.nu
 
     chis = np.concatenate([s.chi for s in traj.snapshots])
-    table = _PotentialTable(reg_W, float(np.min(chis)), float(np.max(chis)))
+    lo, hi = float(np.min(chis)), float(np.max(chis))
+    pad = 0.1 * (hi - lo) + 1e-6
+    xs = np.linspace(lo - pad, hi + pad, 4097)
+    W_hat = CubicSpline(xs, reg_W.potential_on_grid(xs))
 
     times = traj.time_array()
     n = len(traj)
@@ -321,7 +312,7 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
         E[k] = (0.5 * banded_quadform(ops.M, s.v)
                 + float(np.dot(mat.a(s.chi), ops.elastic_load(s.u, mat.C)))
                 + 0.5 * banded_quadform(ops.S, s.chi)
-                + float(np.dot(ops.w, table(s.chi)
+                + float(np.dot(ops.w, W_hat(s.chi)
                                - 0.5 * pot.ell * s.chi**2)))
         eps_v = ops.strain(s.v)
         be = ops.element_mean(mat.b(s.chi))
@@ -329,10 +320,11 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
         D[k] = (float(np.sum(be * mat.V * eps_v**2) * ops.mesh.h)
                 + float(np.dot(ops.w, s.chi_t**2))
                 + float(np.dot(ops.w, ival * s.chi_t)))
+        _, w1, w2 = reg_W.eval_all(s.chi)
         V[k] = 0.5 * nu * (float(np.dot(ops.w, s.chi_t**2))
                            + banded_quadform(ops.S, s.chi_t)
-                           + float(np.dot(ops.w, reg_W.d1(s.chi) * s.chi_t**2)))
-        Rrate[k] = 0.5 * nu * float(np.dot(ops.w, reg_W.d2(s.chi) * s.chi_t**3))
+                           + float(np.dot(ops.w, w1 * s.chi_t**2)))
+        Rrate[k] = 0.5 * nu * float(np.dot(ops.w, w2 * s.chi_t**3))
         fv = forcing.at(times[k], traj.mesh.nodes)
         workrate[k] = float(np.dot(banded_matvec(ops.M, fv), s.v))
     Dcum = _cumtrapz(D, times)

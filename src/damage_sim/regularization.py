@@ -27,8 +27,12 @@ All four bounds are testable via :func:`regularization_property_check`.
 Evaluation strategy: graphs whose Yosida approximation is piecewise affine
 (indicator graphs) get closed-form mollified values through the cumulative
 kernel moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz; affine
-Yosida functions pass through mollification unchanged; everything else is
-integrated by Gauss-Legendre quadrature split at the kink locations.
+Yosida functions pass through mollification unchanged; everything else
+(the smooth graphs of the logarithmic and double-well potentials) is one
+Gauss-Legendre broadcast over points x support segments x 64 nodes, the
+support [-1, 1] cut at every kink, so the Yosida approximation (and its prox)
+is evaluated once per call.  The anchored potential is one GL-64 integral
+between consecutive distinct points and one cumulative sum.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "resolvent",
     "yosida_eval",
     "regularize",
-    "smooth_yosida_eval",
     "regularization_property_check",
     "make_W_delta",
     "make_I_delta",
@@ -372,7 +375,7 @@ def standard_mollifier() -> Mollifier:
 class RegularizedFunction:
     """Smoothed Yosida regularization of a monotone graph.
 
-    ``value/d1/d2`` evaluate beta_delta and its first two derivatives.  The
+    ``eval_all`` evaluates beta_delta and its first two derivatives.  The
     optional ``shift``/``vshift`` implement the normalization beta_delta(0)=0
     (argument translation for indicator-type graphs, vertical translation for
     smooth ones); all quantitative bounds then hold relative to the shifted
@@ -431,31 +434,25 @@ class RegularizedFunction:
         return self._raw_quadrature(xs)
 
     def _raw_quadrature(self, xs):
+        """Gauss-Legendre 64 on each segment of the kernel support [-1, 1]
+        cut at every kink, broadcast over points x segments x nodes; a kink
+        outside the support clips to -1 or 1 and gives a zero-length segment,
+        which adds exactly 0."""
         g, d, m = self.graph, self.delta, self.mollifier
         nodes, weights = _GL64
         rad = d * d
-        v = np.empty_like(xs)
-        d1 = np.empty_like(xs)
-        d2 = np.empty_like(xs)
-        kinks = np.asarray(g.kinks, dtype=float)
-        for i, x in enumerate(xs):
-            cuts = [-1.0, 1.0]
-            for k in kinks:
-                w = (x - k) / rad
-                if -1.0 < w < 1.0:
-                    cuts.append(w)
-            cuts = sorted(cuts)
-            vv = dd1 = dd2 = 0.0
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                half = 0.5 * (b - a)
-                z = 0.5 * (a + b) + half * nodes
-                wz = half * weights
-                by = g.yosida(d, x - rad * z)
-                vv += np.dot(wz * m.rho(z), by)
-                dd1 += np.dot(wz * m.drho(z), by) / rad
-                dd2 += np.dot(wz * m.d2rho(z), by) / rad**2
-            v[i], d1[i], d2[i] = vv, dd1, dd2
-        return v, d1, d2
+        w = np.clip((xs[..., None] - np.asarray(g.kinks, dtype=float)) / rad,
+                    -1.0, 1.0)
+        cuts = np.sort(np.pad(w, [(0, 0)] * xs.ndim + [(1, 1)],
+                              constant_values=(-1.0, 1.0)), axis=-1)
+        half = 0.5 * np.diff(cuts, axis=-1)[..., None]
+        z = 0.5 * (cuts[..., :-1] + cuts[..., 1:])[..., None] + half * nodes
+        wby = half * weights * g.yosida(d, xs[..., None, None] - rad * z)
+
+        def conv(kernel):
+            return np.sum(np.sum(kernel(z) * wby, axis=-1), axis=-1)
+
+        return conv(m.rho), conv(m.drho) / rad, conv(m.d2rho) / rad**2
 
     def eval_all(self, x):
         """Return (beta_delta, beta_delta', beta_delta'') at x."""
@@ -468,71 +465,37 @@ class RegularizedFunction:
         return v, d1, d2
 
     def value(self, x):
-        out = self.eval_all(x)[0]
-        return out
+        return self.eval_all(x)[0]
 
     def d1(self, x):
         return self.eval_all(x)[1]
 
-    def d2(self, x):
-        return self.eval_all(x)[2]
-
     # -- anchored potential ----------------------------------------------------
     def _segment_points(self, a, b):
-        pts = {a, b}
+        """a < b and, between them, each kink and the ends of its kernel
+        support, sorted."""
         rad = self.delta ** 2
-        for k in self.graph.kinks:
-            for p in (k + self.shift - rad, k + self.shift, k + self.shift + rad):
-                if min(a, b) < p < max(a, b):
-                    pts.add(p)
-        return sorted(pts, reverse=bool(a > b))
-
-    def potential(self, x):
-        """Anchored convex potential: envelope(x0) + int_{x0}^x beta_delta."""
-        x0 = self.graph.anchor
-        base = float(np.atleast_1d(self.ref_envelope(x0))[0])
-        xarr = np.atleast_1d(np.asarray(x, dtype=float))
-        scalar = np.asarray(x).ndim == 0
-        nodes, weights = _GL64
-        out = np.empty_like(xarr)
-        for i, xe in enumerate(xarr):
-            total = 0.0
-            pts = self._segment_points(x0, xe)
-            for a, b in zip(pts[:-1], pts[1:]):
-                half = 0.5 * (b - a)
-                t = 0.5 * (a + b) + half * nodes
-                total += half * np.dot(weights, self.eval_all(t)[0])
-            out[i] = base + total
-        return float(out[0]) if scalar else out
+        inner = [k + self.shift + o for k in self.graph.kinks
+                 for o in (-rad, 0.0, rad) if a < k + self.shift + o < b]
+        return np.array(sorted({a, b, *inner}))
 
     def potential_on_grid(self, xs):
-        """Vectorized anchored potential on a sorted grid."""
+        """Anchored convex potential envelope(x0) + int_{x0}^x beta_delta at
+        the points xs (any order, duplicates allowed): GL-64 between
+        consecutive distinct points, then one cumulative sum."""
         xs = np.asarray(xs, dtype=float)
-        order = np.argsort(xs)
-        xs_sorted = xs[order]
-        vals = np.empty_like(xs_sorted)
-        prev_x = self.graph.anchor
-        prev_p = float(np.atleast_1d(self.ref_envelope(prev_x))[0])
+        x0 = self.graph.anchor
+        knots, inv = np.unique(np.append(xs, x0), return_inverse=True)
         nodes, weights = _GL64
-        start = int(np.searchsorted(xs_sorted, prev_x))
-        # march right of the anchor, then left
-        for idx_range, direction in ((range(start, len(xs_sorted)), +1),
-                                     (range(start - 1, -1, -1), -1)):
-            px, pp = prev_x, prev_p
-            for i in idx_range:
-                xe = xs_sorted[i]
-                total = 0.0
-                pts = self._segment_points(px, xe)
-                for a, b in zip(pts[:-1], pts[1:]):
-                    half = 0.5 * (b - a)
-                    t = 0.5 * (a + b) + half * nodes
-                    total += half * np.dot(weights, self.eval_all(t)[0])
-                pp = pp + total
-                px = xe
-                vals[i] = pp
-        out = np.empty_like(vals)
-        out[order] = vals
-        return out
+        steps = np.zeros_like(knots)
+        for i in range(1, knots.size):
+            pts = self._segment_points(knots[i - 1], knots[i])
+            half = 0.5 * np.diff(pts)[:, None]
+            t = 0.5 * (pts[:-1] + pts[1:])[:, None] + half * nodes
+            steps[i] = np.sum(half * weights * self.eval_all(t)[0])
+        cum = np.cumsum(steps)
+        rel = cum[inv[:-1]] - cum[inv[-1]]
+        return float(self.ref_envelope(x0)) + rel.reshape(xs.shape)
 
 
 def regularize(graph: MonotoneGraph, delta: float,
@@ -542,11 +505,6 @@ def regularize(graph: MonotoneGraph, delta: float,
         raise ValueError("delta must lie in (0, 1)")
     return RegularizedFunction(graph=graph, delta=delta,
                                mollifier=mollifier or standard_mollifier())
-
-
-def smooth_yosida_eval(reg: RegularizedFunction, x):
-    """(value, d1, d2) of the smoothed Yosida regularization at x."""
-    return reg.eval_all(x)
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +598,16 @@ def _normalized(reg: RegularizedFunction) -> RegularizedFunction:
     beta_delta - beta_delta(0), which is O(delta^4) there.
     """
     scale = 1.0 / reg.delta
-    y0 = float(np.atleast_1d(reg.graph.yosida(reg.delta, 0.0))[0])
+    y0 = float(reg.graph.yosida(reg.delta, 0.0))
     if abs(y0) > 1e-12 * scale:
         return reg
-    v0 = float(np.atleast_1d(reg.eval_all(0.0)[0])[0])
+    v0 = reg.eval_all(0.0)[0]
     if abs(v0) <= 1e-14 * scale:
         return reg
     rad = reg.delta ** 2
     for s in (-rad, rad):
         cand = replace(reg, shift=s)
-        if abs(float(np.atleast_1d(cand.eval_all(0.0)[0])[0])) <= 1e-14 * scale:
+        if abs(cand.eval_all(0.0)[0]) <= 1e-14 * scale:
             return cand
     return replace(reg, vshift=v0)
 

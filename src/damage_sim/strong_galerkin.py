@@ -229,28 +229,29 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
     chi = (omega.copy() if chi_init is None else chi_init.copy())
 
     def residual(c):
-        return (banded_matvec(ops.S, c)
-                + ops.w * (sops.reg_W.value(c) + c - omega))
+        """Residual at c, with W'(c) and W''(c) from the same evaluation."""
+        wv, wd, _ = sops.reg_W.eval_all(c)
+        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wv, wd
 
     def res_norm(r):
         return float(np.sqrt(np.dot(ops.w, (r / ops.w) ** 2)))
 
-    r = residual(chi)
+    r, wv, wd = residual(chi)
     rn = res_norm(r)
     scale = 1.0 + float(np.max(np.abs(omega)))
     for it in range(1, max_iter + 1):
         if rn <= tol_ell * scale:
             break
         J = ops.S.copy()
-        J[1] += ops.w * (1.0 + sops.reg_W.d1(chi))
+        J[1] += ops.w * (1.0 + wd)
         step = solveh_banded(J, -r)
         lam = 1.0
         for _ in range(40):
             cand = chi + lam * step
-            rc = residual(cand)
+            rc, wvc, wdc = residual(cand)
             rcn = res_norm(rc)
             if rcn <= (1.0 - 0.25 * lam) * rn or rcn <= tol_ell * scale:
-                chi, r, rn = cand, rc, rcn
+                chi, r, rn, wv, wd = cand, rc, rcn, wvc, wdc
                 break
             lam *= 0.5
         else:
@@ -258,7 +259,7 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
     else:
         raise StageError(f"chi_from_omega did not converge: residual {rn:.3e}")
 
-    wnorm = ops.l2_norm_lumped(sops.reg_W.value(chi))
+    wnorm = ops.l2_norm_lumped(wv)
     onorm = ops.l2_norm_lumped(omega)
     s0 = (ops.h2_norm(chi) + wnorm) / onorm if onorm > 0 else math.inf
     return chi, {"iterations": it, "residual": rn, "S0_measured": s0}
@@ -277,10 +278,11 @@ def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0) -> np.ndarray
     rhs = -(omega0 + sops.flow_source(chi0, u0_nodal))
     x = np.minimum(rhs, 0.0)
     for _ in range(80):
-        r = x + sops.reg_I.value(x) - rhs
+        ival, idiff, _ = sops.reg_I.eval_all(x)
+        r = x + ival - rhs
         if np.max(np.abs(r)) <= 1e-14 * (1.0 + np.max(np.abs(rhs))):
             break
-        x = x - r / (1.0 + sops.reg_I.d1(x))
+        x = x - r / (1.0 + idiff)
     return banded_matvec(sops.bsym(chi0), x) / sops.ops.w
 
 
@@ -312,13 +314,13 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
         # Newton in chi_t with SPD tridiagonal Jacobian
         x = chit_m.copy()
         for _ in range(60):
-            ival = sops.reg_I.value(x)
+            ival, idiff, _ = sops.reg_I.eval_all(x)
             F = coeff * banded_matvec(B, x) + ops.w * (x + ival) - rhs_chi
             fn = float(np.max(np.abs(F)))
             if fn <= 1e-13 * (1.0 + float(np.max(np.abs(rhs_chi)))):
                 break
             J = coeff * B
-            J[1] += ops.w * (1.0 + sops.reg_I.d1(x))
+            J[1] += ops.w * (1.0 + idiff)
             x = x + solveh_banded(J, -F)
         chit_m = x
         omt_m = banded_matvec(B, chit_m) / ops.w

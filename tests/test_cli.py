@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from damage_sim.cli import main, run_scenario
-from damage_sim.config import build_scenario, parse_config_text
+from damage_sim.config import ConfigError, build_scenario, parse_config_text
 
 from suite_configs import config_text, standard_suite
 
@@ -73,6 +73,12 @@ def test_parse_round_trip_types():
 def test_unknown_keys_rejected_with_path():
     with pytest.raises(ValueError, match="bogus.key"):
         build_scenario(parse_config_text(ZERO_DATA + "bogus.key = 1\n"))
+
+
+def test_material_ell_rejected():
+    # ell has one source, the potential split (potential.ell)
+    with pytest.raises(ConfigError, match="material.*ell"):
+        build_scenario(parse_config_text(ZERO_DATA + "material.ell = 0.5\n"))
 
 
 def test_suite_configs_build():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from damage_sim.config import build_scenario, parse_config_text
 from damage_sim.diagnostics import (
     calibrate_c_rei,
     discrete_edi_check,
@@ -30,6 +31,7 @@ from damage_sim.trajectory import Snapshot
 from damage_sim.weak_stepper import run_weak
 
 from oracles import rei_slack_quadratic, simpson_energy
+from suite_configs import config_text
 
 
 def material(a="quadratic_plus", **kw):
@@ -287,6 +289,19 @@ def test_strong_balance_detects_imbalance():
     base = strong_energy_balance_residual(traj)[-1]
     traj.snapshots[-1].v = traj.snapshots[-1].v + 0.1
     assert strong_energy_balance_residual(traj)[-1] > base + 1e-4
+
+
+@pytest.mark.parametrize("name,params", [
+    ("logarithmic", {"potential.c1": 1.0}), ("smooth_double_well", {})])
+def test_strong_balance_smooth_potentials(name, params):
+    # strong_demo with a non-affine smooth potential: the smoothed Yosida of
+    # W_breve is evaluated by quadrature, not in closed form
+    flat = parse_config_text(config_text("strong_demo"))
+    flat.update({"potential.name": name, "time.T": 0.04, "strong.steps": 8},
+                **params)
+    traj, _ = run_strong(build_scenario(flat))
+    assert traj.times[-1] == pytest.approx(0.04)
+    assert np.max(strong_energy_balance_residual(traj)) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

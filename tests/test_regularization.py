@@ -12,10 +12,11 @@ from damage_sim.regularization import (
     regularization_property_check,
     regularize,
     resolvent,
-    smooth_yosida_eval,
     standard_mollifier,
     yosida_eval,
 )
+
+from oracles import mollified_yosida_pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,11 @@ def test_yosida_examples():
 def test_smooth_yosida_away_from_kink_is_exact():
     # delta = 0.5: kernel support radius 0.25 misses the kink at 0
     reg = regularize(graph_indicator_halfline(), 0.5)
-    v, d1, d2 = smooth_yosida_eval(reg, 1.0)
+    v, d1, d2 = reg.eval_all(1.0)
     assert v == pytest.approx(2.0, abs=1e-12)
     assert d1 == pytest.approx(2.0, abs=1e-10)
     assert abs(d2) <= 1e-8
-    v, d1, d2 = smooth_yosida_eval(reg, -1.0)
+    v, d1, d2 = reg.eval_all(-1.0)
     assert abs(v) <= 1e-15 and abs(d1) <= 1e-12
 
 
@@ -90,7 +91,7 @@ def test_smooth_yosida_at_kink_matches_brute_force_quadrature():
     expected, err = quad(integrand, -rad, rad, points=[0.0],
                          epsabs=1e-12, epsrel=1e-12, limit=400)
     assert err < 1e-10
-    v, _, _ = smooth_yosida_eval(reg, 0.0)
+    v, _, _ = reg.eval_all(0.0)
     assert v == pytest.approx(expected, abs=1e-10)
 
 
@@ -136,12 +137,12 @@ def test_monotonicity_of_regularized_value():
 def test_delta_ladder_converges_to_minimal_section():
     # interior points of the domain where beta is single-valued
     g = graph_indicator_halfline()
-    errs = [abs(float(np.atleast_1d(regularize(g, d).eval_all(-0.5)[0])[0]))
+    errs = [abs(regularize(g, d).eval_all(-0.5)[0])
             for d in (0.2, 0.1, 0.05, 0.025)]
     assert all(e1 >= e2 - 1e-15 for e1, e2 in zip(errs, errs[1:]))
     gq = graph_quadratic()
     x = 0.7
-    errs = [abs(float(np.atleast_1d(regularize(gq, d).eval_all(x)[0])[0]) - x)
+    errs = [abs(regularize(gq, d).eval_all(x)[0] - x)
             for d in (0.2, 0.1, 0.05, 0.025)]
     assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] <= 0.03
@@ -209,7 +210,7 @@ def test_make_W_delta_quadratic_exact():
 def test_make_I_delta_normalization():
     for delta in (0.3, 0.1, 0.05):
         reg = make_I_delta(delta)
-        assert float(np.atleast_1d(reg.eval_all(0.0)[0])[0]) == 0.0
+        assert reg.eval_all(0.0)[0] == 0.0
         xs = np.linspace(-2, 0, 41)
         assert np.max(np.abs(reg.eval_all(xs)[0])) == 0.0
         xs = np.linspace(-2, 2, 81)
@@ -222,7 +223,7 @@ def test_make_W_delta_keeps_non_normalized_models_untouched():
     pot = make_potential("quadratic", {"center": 1.0})
     reg = make_W_delta(pot, 0.2)
     assert reg.shift == 0.0 and reg.vshift == 0.0
-    assert float(np.atleast_1d(reg.eval_all(1.0)[0])[0]) == pytest.approx(0.0, abs=1e-14)
+    assert reg.eval_all(1.0)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_potential_sandwich_of_normalized_objects():
@@ -230,3 +231,69 @@ def test_potential_sandwich_of_normalized_objects():
     reg = make_W_delta(pot, 0.1)
     rep = regularization_property_check(reg, np.linspace(-1, 2, 301))
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Quadrature path (graphs without closed-form mollification)
+# ---------------------------------------------------------------------------
+
+def _quadrature_graphs(delta):
+    from dataclasses import replace
+    g = graph_indicator_halfline()
+    box = graph_indicator_box()
+    return {
+        "logarithmic": make_W_delta(make_potential("logarithmic"), delta),
+        "smooth_double_well": make_W_delta(make_potential("smooth_double_well"),
+                                           delta),
+        "halfline_quadrature": replace(
+            regularize(g, delta),
+            graph=replace(g, pw_base_slope=None, pw_jumps=None)),
+        "box_quadrature": replace(
+            regularize(box, delta),
+            graph=replace(box, pw_base_slope=None, pw_jumps=None)),
+    }
+
+
+@pytest.mark.parametrize("name", ["logarithmic", "smooth_double_well",
+                                  "halfline_quadrature", "box_quadrature"])
+def test_broadcast_quadrature_matches_pointwise_oracle(name):
+    delta = 0.1
+    reg = _quadrature_graphs(delta)[name]
+    # the kernel support [x - delta^2, x + delta^2] holds a kink (0, or 1
+    # for the box) for the first two blocks of points and none for the last
+    xs = np.concatenate([np.linspace(-0.99, 0.99, 23) * delta**2,
+                         1.0 + np.linspace(-0.99, 0.99, 23) * delta**2,
+                         np.linspace(-1.0, 2.0, 31)])
+    got = reg.eval_all(xs)
+    ref, scale = mollified_yosida_pointwise(reg, xs)
+    for g, r, s in zip(got, ref, scale):
+        # relative to the rounding scale of the convolution sum: d2 cancels
+        # terms of size |beta_Y| C_rho / delta^4 down to O(1)
+        assert np.max(np.abs(g - r) / (1.0 + s)) <= 1e-13
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.05])
+@pytest.mark.parametrize("name,params", [("logarithmic", {"c1": 1.0}),
+                                         ("smooth_double_well", {})])
+def test_property_check_smooth_graphs(name, params, delta):
+    reg = make_W_delta(make_potential(name, params), delta)
+    rep = regularization_property_check(reg, np.linspace(-0.5, 1.5, 201))
+    assert rep.passed, rep.checks
+    assert [c.name for c in rep.checks][-1] == "potential_sandwich"
+
+
+@pytest.mark.parametrize("name", ["logarithmic", "smooth_double_well",
+                                  "indicator_box"])
+def test_potential_on_grid_unsorted_duplicates_and_anchor(name):
+    reg = make_W_delta(make_potential(name), 0.1)
+    x0 = reg.graph.anchor
+    xs = np.array([0.9, x0, 0.2, 0.9, -0.3, x0, 0.2, 1.2])
+    pot = reg.potential_on_grid(xs)
+    assert pot[0] == pot[3] and pot[2] == pot[6] and pot[1] == pot[5]
+    assert pot[1] == reg.ref_envelope(x0)
+    order = np.argsort(xs, kind="stable")
+    assert np.array_equal(reg.potential_on_grid(xs[order]), pot[order])
+    # convex, with the regularized derivative as slope
+    h = 1e-4
+    fd = (reg.potential_on_grid(xs + h) - reg.potential_on_grid(xs - h)) / (2 * h)
+    assert np.max(np.abs(fd - reg.eval_all(xs)[0])) <= 1e-6

@@ -127,7 +127,7 @@ def test_chi_rate_zero_and_constant_cases():
     chi = np.full(41, 0.5)
     assert np.max(np.abs(chi_rate_from_omega_rate(sops, chi, np.zeros(41)))) == 0.0
     # with curvature c = W''(chi) constant: chi_t = omega_t / (1 + c)
-    c = float(np.atleast_1d(sops.reg_W.d1(np.array([0.5])))[0])
+    c = sops.reg_W.eval_all(0.5)[1]
     rate = chi_rate_from_omega_rate(sops, chi, np.full(41, 2.0))
     assert np.allclose(rate, 2.0 / (1.0 + c), atol=1e-10)
 
