@@ -26,18 +26,25 @@ All four bounds are testable via :func:`regularization_property_check`.
 
 Evaluation strategy: graphs whose Yosida approximation is piecewise affine
 (indicator graphs) get closed-form mollified values through the cumulative
-kernel moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz; affine
-Yosida functions pass through mollification unchanged; everything else
-(the smooth graphs of the logarithmic and double-well potentials) is one
-Gauss-Legendre broadcast over points x support segments x 64 nodes, the
-support [-1, 1] cut at every kink, so the Yosida approximation (and its prox)
-is evaluated once per call.  The anchored potential is one GL-64 integral
-between consecutive distinct points and one cumulative sum.
+kernel moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz, whose
+splines are evaluated only at points that see a kink inside the kernel
+support (|w| < 1); every other point takes their exact end values, so a
+call costs a few array operations per kink.  Affine Yosida functions pass
+through mollification unchanged; everything else (the smooth graphs of the
+logarithmic and double-well potentials) is one Gauss-Legendre broadcast over
+points x support segments x 64 nodes, the support [-1, 1] cut at every kink,
+so the Yosida approximation (and its prox) is evaluated once per call.
+``eval_all`` remembers its last argument and result, because the strong
+solver asks again for the iterate it has just evaluated.  The anchored
+potential is GL-64 on every segment between consecutive distinct points and
+the kink cuts, a fixed number of segments per evaluation, and one
+cumulative sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +71,11 @@ __all__ = [
 ]
 
 _GL64 = roots_legendre(64)
+# Segments per eval_all in potential_on_grid, and points per broadcast of
+# the quadrature path, which expands each point into 64 nodes per support
+# segment: both bound the size of the temporaries.
+_POTENTIAL_CHUNK = 64
+_QUADRATURE_BLOCK = 256
 
 
 class ProxError(RuntimeError):
@@ -293,9 +305,9 @@ def _bump_raw(z):
 class Mollifier:
     """Smooth even kernel with unit mass and support in [-1, 1].
 
-    Carries the derivative kernels and the cumulative moments
-    F(w) = int_{-1}^w rho and G(w) = int_{-1}^w z rho(z) dz used by the
-    closed-form mollification of piecewise-affine functions.
+    Carries the derivative kernels and the splines of the cumulative
+    moments F(w) = int_{-1}^w rho and G(w) = int_{-1}^w z rho(z) dz used by
+    the closed-form mollification of piecewise-affine functions.
     """
 
     rho: Callable
@@ -306,11 +318,24 @@ class Mollifier:
     cum_F: Callable = field(repr=False)
     cum_G: Callable = field(repr=False)
 
-    def F(self, w):
-        return self.cum_F(np.clip(w, -1.0, 1.0))
+    @cached_property
+    def _ends(self):
+        """(F, G) at w = -1 and at w = 1, taken from the splines."""
+        return ((self.cum_F(-1.0), self.cum_G(-1.0)),
+                (self.cum_F(1.0), self.cum_G(1.0)))
 
-    def G(self, w):
-        return self.cum_G(np.clip(w, -1.0, 1.0))
+    def moments(self, w):
+        """(F(w), G(w)), constant outside [-1, 1]: the splines run only at
+        the points with |w| < 1 (and NaN, which they propagate)."""
+        (f_lo, g_lo), (f_hi, g_hi) = self._ends
+        above = w >= 1.0
+        F = np.where(above, f_hi, f_lo)
+        G = np.where(above, g_hi, g_lo)
+        near = ~(above | (w <= -1.0))
+        if near.any():
+            F[near] = self.cum_F(w[near])
+            G[near] = self.cum_G(w[near])
+        return F, G
 
 
 def _build_standard_mollifier() -> Mollifier:
@@ -387,6 +412,10 @@ class RegularizedFunction:
     mollifier: Mollifier
     shift: float = 0.0
     vshift: float = 0.0
+    # (shape, bytes) of the last eval_all argument and its result; not an
+    # init field, so dataclasses.replace starts the new function without it
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     # -- reference objects ---------------------------------------------------
     def ref_yosida(self, x):
@@ -426,12 +455,17 @@ class RegularizedFunction:
             for k, jump in zip(g.kinks, g.pw_jumps):
                 s = jump / d
                 w = (xs - k) / (d * d)
-                v += s * ((xs - k) * m.F(w) - d * d * m.G(w))
-                d1 += s * m.F(w)
+                F, G = m.moments(w)
+                v += s * ((xs - k) * F - d * d * G)
+                d1 += s * F
                 inside = np.abs(w) < 1.0
-                d2[inside] += s * m.rho(w[inside]) / (d * d)
+                if inside.any():
+                    d2[inside] += s * m.rho(w[inside]) / (d * d)
             return v, d1, d2
-        return self._raw_quadrature(xs)
+        flat = xs.ravel()
+        parts = [self._raw_quadrature(flat[i:i + _QUADRATURE_BLOCK])
+                 for i in range(0, max(flat.size, 1), _QUADRATURE_BLOCK)]
+        return tuple(np.concatenate(p).reshape(xs.shape) for p in zip(*parts))
 
     def _raw_quadrature(self, xs):
         """Gauss-Legendre 64 on each segment of the kernel support [-1, 1]
@@ -455,14 +489,23 @@ class RegularizedFunction:
         return conv(m.rho), conv(m.drho) / rad, conv(m.d2rho) / rad**2
 
     def eval_all(self, x):
-        """Return (beta_delta, beta_delta', beta_delta'') at x."""
+        """Return (beta_delta, beta_delta', beta_delta'') at x.
+
+        A call whose argument has the shape and the bits of the previous
+        call's argument returns the remembered result; arrays are returned
+        as fresh copies, so a caller that writes into them changes nothing
+        here.
+        """
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        v, d1, d2 = self._raw_all(np.atleast_1d(x) - self.shift)
-        v = v - self.vshift
-        if scalar:
+        key, memo = (x.shape, x.tobytes()), self._memo
+        if memo is None or memo[0] != key:
+            v, d1, d2 = self._raw_all(np.atleast_1d(x) - self.shift)
+            memo = (key, (v - self.vshift, d1, d2))
+            object.__setattr__(self, "_memo", memo)
+        v, d1, d2 = memo[1]
+        if x.ndim == 0:
             return float(v[0]), float(d1[0]), float(d2[0])
-        return v, d1, d2
+        return v.copy(), d1.copy(), d2.copy()
 
     def value(self, x):
         return self.eval_all(x)[0]
@@ -471,29 +514,34 @@ class RegularizedFunction:
         return self.eval_all(x)[1]
 
     # -- anchored potential ----------------------------------------------------
-    def _segment_points(self, a, b):
-        """a < b and, between them, each kink and the ends of its kernel
-        support, sorted."""
-        rad = self.delta ** 2
-        inner = [k + self.shift + o for k in self.graph.kinks
-                 for o in (-rad, 0.0, rad) if a < k + self.shift + o < b]
-        return np.array(sorted({a, b, *inner}))
-
     def potential_on_grid(self, xs):
         """Anchored convex potential envelope(x0) + int_{x0}^x beta_delta at
-        the points xs (any order, duplicates allowed): GL-64 between
-        consecutive distinct points, then one cumulative sum."""
+        the points xs (any order, duplicates allowed).
+
+        The points and the anchor are merged with the cuts at each kink and
+        the ends of its kernel support, where beta_delta is not analytic;
+        GL-64 runs on every segment between consecutive cuts,
+        ``_POTENTIAL_CHUNK`` segments per evaluation, and one cumulative sum
+        gives the integral from the leftmost point.
+        """
         xs = np.asarray(xs, dtype=float)
         x0 = self.graph.anchor
         knots, inv = np.unique(np.append(xs, x0), return_inverse=True)
+        rad = self.delta ** 2
+        cuts = (np.add.outer(np.asarray(self.graph.kinks, dtype=float),
+                             [-rad, 0.0, rad]) + self.shift).ravel()
+        cuts = cuts[(cuts > knots[0]) & (cuts < knots[-1])]
+        pts = np.union1d(knots, cuts)
         nodes, weights = _GL64
-        steps = np.zeros_like(knots)
-        for i in range(1, knots.size):
-            pts = self._segment_points(knots[i - 1], knots[i])
-            half = 0.5 * np.diff(pts)[:, None]
-            t = 0.5 * (pts[:-1] + pts[1:])[:, None] + half * nodes
-            steps[i] = np.sum(half * weights * self.eval_all(t)[0])
-        cum = np.cumsum(steps)
+        half = 0.5 * np.diff(pts)[:, None]
+        mid = 0.5 * (pts[:-1] + pts[1:])[:, None]
+        seg = np.empty(pts.size - 1)
+        for i in range(0, seg.size, _POTENTIAL_CHUNK):
+            sl = slice(i, i + _POTENTIAL_CHUNK)
+            vals = self.eval_all(mid[sl] + half[sl] * nodes)[0]
+            seg[sl] = np.sum(half[sl] * weights * vals, axis=-1)
+        cum = np.concatenate([[0.0], np.cumsum(seg)])[
+            np.searchsorted(pts, knots)]
         rel = cum[inv[:-1]] - cum[inv[-1]]
         return float(self.ref_envelope(x0)) + rel.reshape(xs.shape)
 

@@ -181,6 +181,11 @@ class StrongOperators:
     reg_W: RegularizedFunction
     reg_I: RegularizedFunction
     params: RegParams
+    # nodal differences dY of the basis vectors, shared by modal_matrices
+    dY: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.dY = np.diff(self.basis.vectors, axis=0)
 
     def elastic_density(self, u_nodal) -> np.ndarray:
         """Nodal density q_i of C/2 |u_x|^2 (load / quadrature weight)."""
@@ -194,8 +199,7 @@ class StrongOperators:
     def modal_matrices(self, chi):
         """D = Y^T S_{b(chi)V} Y and A = Y^T S_{a(chi)C} Y, each formed as
         dY^T diag(c_e/h) dY from the nodal differences dY of the basis."""
-        dY = np.diff(self.basis.vectors, axis=0)
-        h = self.ops.mesh.h
+        dY, h = self.dY, self.ops.mesh.h
 
         def gram(coeff, modulus):
             ce = modulus / h * self.ops.element_mean(coeff)
@@ -322,6 +326,14 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
             J = coeff * B
             J[1] += ops.w * (1.0 + idiff)
             x = x + solveh_banded(J, -F)
+        else:
+            # the residual can stall at the round-off of coeff * B x, above
+            # the tolerance; a residual beyond that is a failed solve
+            floor = 4.0 * np.finfo(float).eps * coeff * float(
+                np.max(banded_matvec(np.abs(B), np.abs(x))))
+            if fn > floor:
+                raise StageError(
+                    f"chi_t Newton did not converge: residual {fn:.3e}")
         chit_m = x
         omt_m = banded_matvec(B, chit_m) / ops.w
         om_m = state.omega + dt * omt_m

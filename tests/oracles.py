@@ -201,3 +201,50 @@ def mollified_yosida_pointwise(reg, xs):
                 out[1, j, i] += np.sum(np.abs(terms))
     out[0, 0] -= reg.vshift
     return tuple(out[0]), tuple(out[1])
+
+
+def mollified_pw_clipped(reg, xs):
+    """(value, d1, d2) of the unshifted mollified Yosida of a piecewise-affine
+    graph at xs, with the kernel moments F and G taken from their splines at
+    clip(w, -1, 1) at every point and every kink."""
+    g, d, m = reg.graph, reg.delta, reg.mollifier
+    xs = np.asarray(xs, dtype=float)
+    b0 = g.pw_base_slope / d
+    v = b0 * xs
+    d1 = np.full_like(xs, b0)
+    d2 = np.zeros_like(xs)
+    for k, jump in zip(g.kinks, g.pw_jumps):
+        s = jump / d
+        w = (xs - k) / (d * d)
+        F = m.cum_F(np.clip(w, -1.0, 1.0))
+        G = m.cum_G(np.clip(w, -1.0, 1.0))
+        v += s * ((xs - k) * F - d * d * G)
+        d1 += s * F
+        inside = np.abs(w) < 1.0
+        d2[inside] += s * m.rho(w[inside]) / (d * d)
+    return v, d1, d2
+
+
+def potential_on_grid_per_interval(reg, xs):
+    """Anchored potential envelope(x0) + int_{x0}^x beta_delta at xs by a
+    loop over the intervals between consecutive distinct points (and the
+    anchor), each split at the kinks and the ends of their kernel supports
+    inside it, GL-64 per piece, and a cumulative sum of the interval
+    integrals."""
+    xs = np.asarray(xs, dtype=float)
+    x0 = reg.graph.anchor
+    knots, inv = np.unique(np.append(xs, x0), return_inverse=True)
+    nodes, weights = roots_legendre(64)
+    rad = reg.delta ** 2
+    steps = np.zeros_like(knots)
+    for i in range(1, knots.size):
+        a, b = knots[i - 1], knots[i]
+        inner = [k + reg.shift + o for k in reg.graph.kinks
+                 for o in (-rad, 0.0, rad) if a < k + reg.shift + o < b]
+        pts = np.array(sorted({a, b, *inner}))
+        half = 0.5 * np.diff(pts)[:, None]
+        t = 0.5 * (pts[:-1] + pts[1:])[:, None] + half * nodes
+        steps[i] = np.sum(half * weights * reg.eval_all(t)[0])
+    cum = np.cumsum(steps)
+    rel = cum[inv[:-1]] - cum[inv[-1]]
+    return float(reg.ref_envelope(x0)) + rel.reshape(xs.shape)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,7 +18,11 @@ from damage_sim.regularization import (
     yosida_eval,
 )
 
-from oracles import mollified_yosida_pointwise
+from oracles import (
+    mollified_pw_clipped,
+    mollified_yosida_pointwise,
+    potential_on_grid_per_interval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +244,6 @@ def test_potential_sandwich_of_normalized_objects():
 # ---------------------------------------------------------------------------
 
 def _quadrature_graphs(delta):
-    from dataclasses import replace
     g = graph_indicator_halfline()
     box = graph_indicator_box()
     return {
@@ -297,3 +302,82 @@ def test_potential_on_grid_unsorted_duplicates_and_anchor(name):
     h = 1e-4
     fd = (reg.potential_on_grid(xs + h) - reg.potential_on_grid(xs - h)) / (2 * h)
     assert np.max(np.abs(fd - reg.eval_all(xs)[0])) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Piecewise-affine path, memo, one-pass potential
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("delta", [0.05, 0.001])
+@pytest.mark.parametrize("graph", [graph_indicator_halfline(),
+                                   graph_indicator_box()])
+def test_piecewise_affine_path_matches_clipped_spline_oracle(graph, delta):
+    reg = regularize(graph, delta)
+    rad = delta * delta
+    xs = np.array([k + rad * w for k in graph.kinks
+                   for w in (-3.0, -1.0, -0.5, 0.0, 0.7, 1.0, 2.5)])
+    xs = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                         [-np.inf, np.inf, np.nan]])
+    ws = np.concatenate([(xs - k) / rad for k in graph.kinks])
+    for region in (ws < -1.0, ws == -1.0, np.abs(ws) < 1.0, ws == 1.0, ws > 1.0):
+        assert region.any()
+    with np.errstate(invalid="ignore"):         # inf - inf at the infinities
+        pairs = zip(reg._raw_all(xs), mollified_pw_clipped(reg, xs))
+        for got, ref in pairs:
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_eval_all_repeat_returns_equal_fresh_arrays():
+    reg = make_I_delta(0.05)
+    x = np.linspace(-0.01, 0.01, 41)
+    first = reg.eval_all(x)
+    again = reg.eval_all(x.copy())
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes() and a is not b
+        b[:] = 7.0          # writing into a result changes no later one
+    for a, b in zip(first, reg.eval_all(x)):
+        assert a.tobytes() == b.tobytes()
+    # an argument changed in place is a new argument
+    x[0] = 0.02
+    fresh = make_I_delta(0.05).eval_all(x)
+    for a, b in zip(reg.eval_all(x), fresh):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_eval_all_memo_keys_on_bits_and_shape():
+    reg = regularize(graph_quadratic(), 0.1)
+    assert not np.signbit(reg.eval_all(np.array([0.0]))[0][0])
+    assert np.signbit(reg.eval_all(np.array([-0.0]))[0][0])
+    assert isinstance(reg.eval_all(0.5)[0], float)
+    assert reg.eval_all(np.array([0.5]))[0].shape == (1,)
+    assert reg.eval_all(np.full((2, 3), 0.5))[0].shape == (2, 3)
+
+
+def test_replaced_function_does_not_share_the_memo():
+    reg = make_I_delta(0.05)
+    assert reg.shift != 0.0
+    x = np.linspace(-0.01, 0.01, 41)
+    shifted = reg.eval_all(x)
+    plain = replace(reg, shift=0.0).eval_all(x)
+    ref = regularize(graph_indicator_halfline(), 0.05).eval_all(x)
+    for a, b in zip(plain, ref):
+        assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(plain[0], shifted[0])
+
+
+@pytest.mark.parametrize("grid", ["fine", "coarse"])
+@pytest.mark.parametrize("name,params", [("indicator_box", {}),
+                                         ("quadratic", {}),
+                                         ("logarithmic", {"c1": 1.0})])
+def test_potential_on_grid_matches_per_interval_oracle(name, params, grid):
+    reg = make_W_delta(make_potential(name, params), 0.1)
+    if grid == "fine":
+        # 301 points and the anchor: more segments than one evaluation takes
+        xs = np.random.default_rng(3).permutation(np.linspace(-0.5, 1.5, 301))
+    else:
+        # several kink cuts fall inside one interval between points
+        xs = np.array([1.3, -0.4, 0.2, 1.3])
+    got = reg.potential_on_grid(xs)
+    ref = potential_on_grid_per_interval(reg, xs)
+    scale = 1.0 + np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from damage_sim.config import build_scenario, parse_config_text
 from damage_sim.discretization import (
     assemble_operators,
     build_mesh,
@@ -14,7 +17,13 @@ from damage_sim.model import (
     make_potential,
     scalar_fn,
 )
-from damage_sim.regularization import make_I_delta, make_W_delta, graph_quadratic, regularize
+from damage_sim.regularization import (
+    RegularizedFunction,
+    graph_quadratic,
+    make_I_delta,
+    make_W_delta,
+    regularize,
+)
 import damage_sim.strong_galerkin as sg
 from damage_sim.strong_galerkin import (
     RegParams,
@@ -26,6 +35,7 @@ from damage_sim.strong_galerkin import (
 )
 
 from oracles import banded_to_dense, modal_exact_solution
+from suite_configs import config_text
 
 
 def strong_material(**kw):
@@ -325,3 +335,72 @@ def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
     assert traj.mode == "strong"
     assert len(traj.step_reports) == 2
     assert traj.times == pytest.approx([0.0, tau, 2.0 * tau])
+
+
+class _JitteredYosida:
+    """reg_I whose value moves by 1e-6 between calls, so the chi_t Newton
+    iteration cannot meet its tolerance."""
+
+    def __init__(self, reg):
+        self.reg = reg
+        self.rng = np.random.default_rng(0)
+
+    def eval_all(self, x):
+        v, d1, d2 = self.reg.eval_all(x)
+        return v + 1e-6 * self.rng.standard_normal(np.shape(x)), d1, d2
+
+    def value(self, x):
+        return self.eval_all(x)[0]
+
+
+def test_chi_t_newton_failure_raises_stage_error():
+    sops = make_sops(delta=0.05, nu=1e-6)
+    sops = replace(sops, reg_I=_JitteredYosida(sops.reg_I))
+    N, n1 = sops.ops.mesh.N, sops.basis.vectors.shape[1]
+    chi = np.full(N, 0.8)
+    state = sg.SpectralState(t=0.0, c=np.zeros(n1), cdot=np.zeros(n1),
+                             omega=sops.omega_of_chi(chi),
+                             omega_t=np.full(N, -0.1), chi=chi,
+                             chi_t=np.zeros(N))
+    with pytest.raises(StageError, match="chi_t Newton did not converge"):
+        sg._stage_solve(sops, state, 1e-3, np.zeros(n1), 1e-8)
+
+
+def _strong_demo(overrides):
+    text = config_text("strong_demo")
+    for old, new in overrides:
+        assert old in text
+        text = text.replace(old, new)
+    return build_scenario(parse_config_text(text))
+
+
+@pytest.mark.parametrize("overrides", [
+    [("time.T = 0.5", "time.T = 0.05"), ("strong.steps = 100", "strong.steps = 10")],
+    [('potential.name = "quadratic"',
+      'potential.name = "logarithmic"\npotential.c1 = 1.0'),
+     ("time.T = 0.5", "time.T = 0.04"), ("strong.steps = 100", "strong.steps = 8")],
+], ids=["strong_demo", "strong_log"])
+def test_no_evaluation_repeats_the_previous_argument(monkeypatch, overrides):
+    last, repeats, calls = {}, [], [0]
+    raw = RegularizedFunction._raw_all
+
+    def recording(self, xs):
+        key = (xs.shape, xs.tobytes())
+        if last.get(id(self)) == key:
+            repeats.append(self.graph.name)
+        last[id(self)] = key
+        calls[0] += 1
+        return raw(self, xs)
+
+    monkeypatch.setattr(RegularizedFunction, "_raw_all", recording)
+    run_strong(_strong_demo(overrides))
+    assert calls[0] > 100
+    assert repeats == []
+
+
+@pytest.mark.xfail(strict=True, raises=StageError,
+                   reason="chi_from_omega asks for a residual below the "
+                          "round-off of S chi / w at N = 2049; fails at step 10")
+def test_strong_demo_fine_mesh_completes():
+    _, monitor = run_strong(_strong_demo([("mesh.N = 101", "mesh.N = 2049")]))
+    assert monitor.to_dict()["verdict"] == "completed"
