@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .discretization import Operators, banded_matvec, banded_quadform
 from .forcing import BoundaryForcing, Forcing
@@ -282,8 +281,10 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
       E_d(t) - E_d(0) + int_0^t D_d + V(t) - V(0) + R_nu(t) - Work(t) = 0,
 
     with V the nu-weighted rate energy and R_nu the third-derivative
-    remainder.  Time integrals use the trapezoid rule on output times, so the
-    residual decays at the stepping order O(tau^2).
+    remainder.  The regularized potential in E_d is evaluated at each
+    snapshot's chi, point by point (``potential_on_grid``).  Time integrals
+    use the trapezoid rule on output times, so the residual decays at the
+    stepping order O(tau^2).
     """
     if traj.mode != "strong":
         raise ValueError("strong balance applies to strong-mode trajectories")
@@ -294,12 +295,6 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     config = traj.extras.get("config")
     forcing = (config.forcing if config is not None else None) or Forcing.zero()
     nu = params.nu
-
-    chis = np.concatenate([s.chi for s in traj.snapshots])
-    lo, hi = float(np.min(chis)), float(np.max(chis))
-    pad = 0.1 * (hi - lo) + 1e-6
-    xs = np.linspace(lo - pad, hi + pad, 4097)
-    W_hat = CubicSpline(xs, reg_W.potential_on_grid(xs))
 
     times = traj.time_array()
     n = len(traj)
@@ -312,7 +307,7 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
         E[k] = (0.5 * banded_quadform(ops.M, s.v)
                 + float(np.dot(mat.a(s.chi), ops.elastic_load(s.u, mat.C)))
                 + 0.5 * banded_quadform(ops.S, s.chi)
-                + float(np.dot(ops.w, W_hat(s.chi)
+                + float(np.dot(ops.w, reg_W.potential_on_grid(s.chi)
                                - 0.5 * pot.ell * s.chi**2)))
         eps_v = ops.strain(s.v)
         be = ops.element_mean(mat.b(s.chi))

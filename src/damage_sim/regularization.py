@@ -36,9 +36,13 @@ points x support segments x 64 nodes, the support [-1, 1] cut at every kink,
 so the Yosida approximation (and its prox) is evaluated once per call.
 ``eval_all`` remembers its last argument and result, because the strong
 solver asks again for the iterate it has just evaluated.  The anchored
-potential is GL-64 on every segment between consecutive distinct points and
-the kink cuts, a fixed number of segments per evaluation, and one
-cumulative sum.
+potential needs no integral over x: beta_Y_delta is the derivative of the
+Moreau envelope e_delta, so beta_delta is the derivative of rho_delta * e_delta,
+and each point's value is that mollified envelope at the point minus its
+value at the anchor.  The envelope is quadratic for affine Yosida functions,
+piecewise quadratic for piecewise-affine ones (closed form with the third
+moment H(w) = int_{-1}^w z^2 rho(z) dz), and goes through the same
+Gauss-Legendre broadcast, with rho alone, for the smooth graphs.
 """
 
 from __future__ import annotations
@@ -71,10 +75,8 @@ __all__ = [
 ]
 
 _GL64 = roots_legendre(64)
-# Segments per eval_all in potential_on_grid, and points per broadcast of
-# the quadrature path, which expands each point into 64 nodes per support
-# segment: both bound the size of the temporaries.
-_POTENTIAL_CHUNK = 64
+# Points per broadcast of the quadrature path, which expands each point into
+# 64 nodes per support segment: bounds the size of the temporaries.
 _QUADRATURE_BLOCK = 256
 
 
@@ -210,7 +212,12 @@ def graph_smooth(
     """Graph of a smooth increasing function beta = fn with beta' = dfn.
 
     The prox rule is a safeguarded vectorized Newton iteration on
-    y + lam * fn(y) = x restricted to the open domain.
+    y + lam * fn(y) = x restricted to the open domain.  Each point leaves the
+    iteration on its own test, so its value does not depend on the other
+    points of the call.  A Newton step that keeps the sign of the
+    residual and does not halve it is replaced by a bisection of the bracket
+    at the next iteration: where fn is clipped near a domain end, dfn need not
+    be its derivative, and Newton would crawl.
     """
     lo, hi = domain
 
@@ -238,6 +245,8 @@ def graph_smooth(
                     break
                 yhi = np.where(bad, 2.0 * yhi + 1.0, yhi)
         y = np.clip(x, ylo, yhi)
+        live = np.ones(x.shape, dtype=bool)
+        r_old = np.zeros(x.shape)
         for _ in range(100):
             r = y + lam * fn(y) - x
             # maintain a bisection bracket: the residual is increasing in y
@@ -246,12 +255,16 @@ def graph_smooth(
             dr = 1.0 + lam * dfn(y)
             step = r / np.maximum(dr, 1e-30)
             ynew = y - step
-            bad = (ynew <= ylo) | (ynew >= yhi)
+            # slow: r kept the sign of r_old and |r| > |r_old| / 2
+            slow = r * r_old > 0.5 * r_old * r_old
+            bad = (ynew <= ylo) | (ynew >= yhi) | slow
             ynew = np.where(bad, 0.5 * (ylo + yhi), ynew)
-            if np.max(np.abs(ynew - y)) < 1e-15 * (1.0 + np.max(np.abs(y))):
-                y = ynew
+            done = np.abs(ynew - y) < 1e-15 * (1.0 + np.abs(y))
+            y = np.where(live, ynew, y)
+            live &= ~done
+            if not live.any():
                 break
-            y = ynew
+            r_old = r
         else:
             r = y + lam * fn(y) - x
             if np.max(np.abs(r)) > 1e-9 * (1.0 + np.max(np.abs(x))):
@@ -306,8 +319,10 @@ class Mollifier:
     """Smooth even kernel with unit mass and support in [-1, 1].
 
     Carries the derivative kernels and the splines of the cumulative
-    moments F(w) = int_{-1}^w rho and G(w) = int_{-1}^w z rho(z) dz used by
-    the closed-form mollification of piecewise-affine functions.
+    moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz and
+    H(w) = int_{-1}^w z^2 rho(z) dz used by the closed-form mollification of
+    piecewise-affine functions (F and G) and of their piecewise-quadratic
+    Moreau envelopes (all three).
     """
 
     rho: Callable
@@ -317,25 +332,27 @@ class Mollifier:
     abs_moment: float            # int |z| rho(z) dz
     cum_F: Callable = field(repr=False)
     cum_G: Callable = field(repr=False)
+    cum_H: Callable = field(repr=False)
 
     @cached_property
     def _ends(self):
-        """(F, G) at w = -1 and at w = 1, taken from the splines."""
-        return ((self.cum_F(-1.0), self.cum_G(-1.0)),
-                (self.cum_F(1.0), self.cum_G(1.0)))
+        """(value at w = -1, value at w = 1) of each of F, G, H, taken from
+        the splines."""
+        return tuple((s(-1.0), s(1.0))
+                     for s in (self.cum_F, self.cum_G, self.cum_H))
 
-    def moments(self, w):
-        """(F(w), G(w)), constant outside [-1, 1]: the splines run only at
-        the points with |w| < 1 (and NaN, which they propagate)."""
-        (f_lo, g_lo), (f_hi, g_hi) = self._ends
+    def moments(self, w, count: int = 2):
+        """The first ``count`` of (F(w), G(w), H(w)), constant outside
+        [-1, 1]: the splines run only at the points with |w| < 1 (and NaN,
+        which they propagate)."""
         above = w >= 1.0
-        F = np.where(above, f_hi, f_lo)
-        G = np.where(above, g_hi, g_lo)
+        out = [np.where(above, hi, lo) for lo, hi in self._ends[:count]]
         near = ~(above | (w <= -1.0))
         if near.any():
-            F[near] = self.cum_F(w[near])
-            G[near] = self.cum_G(w[near])
-        return F, G
+            wn = w[near]
+            for o, s in zip(out, (self.cum_F, self.cum_G, self.cum_H)):
+                o[near] = s(wn)
+        return out
 
 
 def _build_standard_mollifier() -> Mollifier:
@@ -375,10 +392,11 @@ def _build_standard_mollifier() -> Mollifier:
     Fvals = np.concatenate([[0.0], cumulative_simpson(rv, x=zgrid)])
     Fvals /= Fvals[-1]
     Gvals = np.concatenate([[0.0], cumulative_simpson(zgrid * rv, x=zgrid)])
-    cum_F = CubicSpline(zgrid, Fvals)
-    cum_G = CubicSpline(zgrid, Gvals)
+    Hvals = np.concatenate([[0.0], cumulative_simpson(zgrid**2 * rv, x=zgrid)])
     return Mollifier(rho=rho, drho=drho, d2rho=d2rho, c_hat=c_hat,
-                     abs_moment=abs_moment, cum_F=cum_F, cum_G=cum_G)
+                     abs_moment=abs_moment, cum_F=CubicSpline(zgrid, Fvals),
+                     cum_G=CubicSpline(zgrid, Gvals),
+                     cum_H=CubicSpline(zgrid, Hvals))
 
 
 _STANDARD_MOLLIFIER: Optional[Mollifier] = None
@@ -422,14 +440,18 @@ class RegularizedFunction:
         x = np.asarray(x, dtype=float)
         return self.graph.yosida(self.delta, x - self.shift) - self.vshift
 
-    def ref_envelope(self, x):
-        """Moreau envelope of the parent potential, shifted consistently."""
+    def _envelope(self, y):
+        """Moreau envelope e_delta of the parent potential at y, unshifted."""
         if self.graph.potential is None:
             raise ValueError("graph has no analytic potential")
-        x = np.asarray(x, dtype=float) - self.shift
-        j = self.graph.prox(self.delta, x)
-        base = (x - j) ** 2 / (2.0 * self.delta) + self.graph.potential(j)
-        return base - self.vshift * (np.asarray(x) + self.shift - self.graph.anchor)
+        j = self.graph.prox(self.delta, y)
+        return (y - j) ** 2 / (2.0 * self.delta) + self.graph.potential(j)
+
+    def ref_envelope(self, x):
+        """Moreau envelope of the parent potential, shifted consistently."""
+        x = np.asarray(x, dtype=float)
+        return (self._envelope(x - self.shift)
+                - self.vshift * (x - self.graph.anchor))
 
     def ref_potential(self, x):
         if self.graph.potential is None:
@@ -462,31 +484,36 @@ class RegularizedFunction:
                 if inside.any():
                     d2[inside] += s * m.rho(w[inside]) / (d * d)
             return v, d1, d2
-        flat = xs.ravel()
-        parts = [self._raw_quadrature(flat[i:i + _QUADRATURE_BLOCK])
-                 for i in range(0, max(flat.size, 1), _QUADRATURE_BLOCK)]
-        return tuple(np.concatenate(p).reshape(xs.shape) for p in zip(*parts))
-
-    def _raw_quadrature(self, xs):
-        """Gauss-Legendre 64 on each segment of the kernel support [-1, 1]
-        cut at every kink, broadcast over points x segments x nodes; a kink
-        outside the support clips to -1 or 1 and gives a zero-length segment,
-        which adds exactly 0."""
-        g, d, m = self.graph, self.delta, self.mollifier
-        nodes, weights = _GL64
         rad = d * d
-        w = np.clip((xs[..., None] - np.asarray(g.kinks, dtype=float)) / rad,
-                    -1.0, 1.0)
-        cuts = np.sort(np.pad(w, [(0, 0)] * xs.ndim + [(1, 1)],
-                              constant_values=(-1.0, 1.0)), axis=-1)
-        half = 0.5 * np.diff(cuts, axis=-1)[..., None]
-        z = 0.5 * (cuts[..., :-1] + cuts[..., 1:])[..., None] + half * nodes
-        wby = half * weights * g.yosida(d, xs[..., None, None] - rad * z)
+        v, d1, d2 = self._quadrature(lambda y: g.yosida(d, y),
+                                     (m.rho, m.drho, m.d2rho), xs)
+        return v, d1 / rad, d2 / rad**2
 
-        def conv(kernel):
-            return np.sum(np.sum(kernel(z) * wby, axis=-1), axis=-1)
+    def _quadrature(self, fn, kernels, xs):
+        """int k(z) fn(x - delta^2 z) dz for each kernel k at the points xs.
 
-        return conv(m.rho), conv(m.drho) / rad, conv(m.d2rho) / rad**2
+        Gauss-Legendre 64 on each segment of the kernel support [-1, 1] cut
+        at every kink, broadcast over points x segments x nodes in blocks of
+        ``_QUADRATURE_BLOCK`` points, so fn runs once per block; a kink
+        outside the support clips to -1 or 1 and gives a zero-length segment,
+        which adds exactly 0.
+        """
+        nodes, weights = _GL64
+        rad = self.delta * self.delta
+        kinks = np.asarray(self.graph.kinks, dtype=float)
+        flat = xs.ravel()
+        parts = []
+        for i in range(0, max(flat.size, 1), _QUADRATURE_BLOCK):
+            b = flat[i:i + _QUADRATURE_BLOCK, None]
+            w = np.clip((b - kinks) / rad, -1.0, 1.0)
+            cuts = np.sort(np.pad(w, [(0, 0), (1, 1)],
+                                  constant_values=(-1.0, 1.0)), axis=-1)
+            half = 0.5 * np.diff(cuts, axis=-1)[..., None]
+            z = 0.5 * (cuts[:, :-1] + cuts[:, 1:])[..., None] + half * nodes
+            wf = half * weights * fn(b[..., None] - rad * z)
+            parts.append([np.sum(np.sum(k(z) * wf, axis=-1), axis=-1)
+                          for k in kernels])
+        return [np.concatenate(p).reshape(xs.shape) for p in zip(*parts)]
 
     def eval_all(self, x):
         """Return (beta_delta, beta_delta', beta_delta'') at x.
@@ -514,36 +541,49 @@ class RegularizedFunction:
         return self.eval_all(x)[1]
 
     # -- anchored potential ----------------------------------------------------
+    def _mollified_envelope(self, xs):
+        """(rho_delta * e_delta)(xs) for the unshifted graph, up to a constant.
+
+        Its derivative is beta_delta, because e_delta' is the Yosida
+        approximation.  The envelope of an affine Yosida is the quadratic
+        eff/2 (x - root)^2; that of a piecewise-affine one is
+        b0/2 x^2 + sum_i s_i/2 max(x - k_i, 0)^2, whose mollification is
+        closed form in F, G and H:
+            b0/2 x^2 + sum_i s_i/2 [u^2 F(w) - 2 r u G(w) + r^2 H(w)],
+        with u = x - k_i, r = delta^2 and w = u / r.  Any other envelope
+        (prox plus the graph's potential) goes through the quadrature.
+        """
+        g, d, m = self.graph, self.delta, self.mollifier
+        if g.affine_yosida is not None:
+            slope, root = g.affine_yosida
+            return 0.5 * slope / (1.0 + d * slope) * (xs - root) ** 2
+        if g.pw_jumps is not None:
+            rad = d * d
+            c = 0.5 * g.pw_base_slope / d * xs**2
+            for k, jump in zip(g.kinks, g.pw_jumps):
+                u = xs - k
+                F, G, H = m.moments(u / rad, 3)
+                c += 0.5 * jump / d * (u * u * F - 2.0 * rad * u * G
+                                       + rad * rad * H)
+            return c
+        return self._quadrature(self._envelope, (m.rho,), xs)[0]
+
     def potential_on_grid(self, xs):
         """Anchored convex potential envelope(x0) + int_{x0}^x beta_delta at
-        the points xs (any order, duplicates allowed).
+        the points xs (any shape and order, duplicates allowed).
 
-        The points and the anchor are merged with the cuts at each kink and
-        the ends of its kernel support, where beta_delta is not analytic;
-        GL-64 runs on every segment between consecutive cuts,
-        ``_POTENTIAL_CHUNK`` segments per evaluation, and one cumulative sum
-        gives the integral from the leftmost point.
+        Point by point, with C the mollified envelope of
+        ``_mollified_envelope``:
+            envelope(x0) + C(x - shift) - C(x0 - shift) - vshift (x - x0),
+        so each value depends only on its own point and no integral over x
+        is taken.
         """
         xs = np.asarray(xs, dtype=float)
         x0 = self.graph.anchor
-        knots, inv = np.unique(np.append(xs, x0), return_inverse=True)
-        rad = self.delta ** 2
-        cuts = (np.add.outer(np.asarray(self.graph.kinks, dtype=float),
-                             [-rad, 0.0, rad]) + self.shift).ravel()
-        cuts = cuts[(cuts > knots[0]) & (cuts < knots[-1])]
-        pts = np.union1d(knots, cuts)
-        nodes, weights = _GL64
-        half = 0.5 * np.diff(pts)[:, None]
-        mid = 0.5 * (pts[:-1] + pts[1:])[:, None]
-        seg = np.empty(pts.size - 1)
-        for i in range(0, seg.size, _POTENTIAL_CHUNK):
-            sl = slice(i, i + _POTENTIAL_CHUNK)
-            vals = self.eval_all(mid[sl] + half[sl] * nodes)[0]
-            seg[sl] = np.sum(half[sl] * weights * vals, axis=-1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])[
-            np.searchsorted(pts, knots)]
-        rel = cum[inv[:-1]] - cum[inv[-1]]
-        return float(self.ref_envelope(x0)) + rel.reshape(xs.shape)
+        c = self._mollified_envelope(xs - self.shift)
+        c0 = self._mollified_envelope(np.asarray(x0 - self.shift))
+        return (float(self.ref_envelope(x0)) + (c - c0)
+                - self.vshift * (xs - x0))
 
 
 def regularize(graph: MonotoneGraph, delta: float,

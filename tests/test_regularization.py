@@ -365,19 +365,70 @@ def test_replaced_function_does_not_share_the_memo():
     assert not np.array_equal(plain[0], shifted[0])
 
 
-@pytest.mark.parametrize("grid", ["fine", "coarse"])
-@pytest.mark.parametrize("name,params", [("indicator_box", {}),
-                                         ("quadratic", {}),
-                                         ("logarithmic", {"c1": 1.0})])
-def test_potential_on_grid_matches_per_interval_oracle(name, params, grid):
-    reg = make_W_delta(make_potential(name, params), 0.1)
+@pytest.mark.parametrize("grid", ["fine", "coarse", "kinks"])
+@pytest.mark.parametrize("name,params,delta", [
+    pytest.param("indicator_box", {}, 0.1, id="indicator_box-params0"),
+    pytest.param("quadratic", {}, 0.1, id="quadratic-params1"),
+    pytest.param("logarithmic", {"c1": 1.0}, 0.1, id="logarithmic-params2"),
+    pytest.param("smooth_double_well", {}, 0.1, id="smooth_double_well"),
+    pytest.param("indicator_box", {}, 0.001, id="indicator_box-delta0.001"),
+    pytest.param("quadratic", {}, 0.001, id="quadratic-delta0.001")])
+def test_potential_on_grid_matches_per_interval_oracle(name, params, delta,
+                                                       grid):
+    reg = make_W_delta(make_potential(name, params), delta)
     if grid == "fine":
         # 301 points and the anchor: more segments than one evaluation takes
         xs = np.random.default_rng(3).permutation(np.linspace(-0.5, 1.5, 301))
-    else:
+    elif grid == "coarse":
         # several kink cuts fall inside one interval between points
         xs = np.array([1.3, -0.4, 0.2, 1.3])
+    else:
+        # within 3 delta^2 of the box's kinks (the log barrier's domain ends)
+        rad = delta * delta
+        xs = np.concatenate([k + reg.shift + np.linspace(-3 * rad, 3 * rad, 61)
+                             for k in (0.0, 1.0)])
     got = reg.potential_on_grid(xs)
     ref = potential_on_grid_per_interval(reg, xs)
     scale = 1.0 + np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name,params", [("indicator_box", {}),
+                                         ("quadratic", {}),
+                                         ("logarithmic", {"c1": 1.0})])
+def test_potential_on_grid_value_depends_only_on_its_point(name, params):
+    reg = make_W_delta(make_potential(name, params), 0.05)
+    rad = 0.05 ** 2
+    xs = np.concatenate([np.linspace(-0.5, 1.5, 201),
+                         np.linspace(-3 * rad, 3 * rad, 31) + reg.shift,
+                         np.linspace(1 - 3 * rad, 1 + 3 * rad, 31) + reg.shift])
+    batch = reg.potential_on_grid(xs)
+    single = np.array([reg.potential_on_grid(xs[i:i + 1])[0]
+                       for i in range(xs.size)])
+    assert batch.tobytes() == single.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Smooth-graph prox
+# ---------------------------------------------------------------------------
+
+def test_smooth_prox_value_does_not_depend_on_the_batch():
+    g = make_potential("logarithmic", {"c1": 1.0}).convex_part
+    xs = np.random.default_rng(0).uniform(-0.5, 1.5, 2368)
+    whole = g.yosida(0.05, xs)
+    parts = np.concatenate([g.yosida(0.05, xs[i:i + 64])
+                            for i in range(0, xs.size, 64)])
+    assert whole.tobytes() == parts.tobytes()
+
+
+def test_log_barrier_prox_converges_at_the_clip_point():
+    # the root sits at eps_dom = 1e-9, where the barrier's derivative is
+    # clipped flat but its second derivative is still about 1e9
+    pot = make_potential("logarithmic", {"c1": 1.0})
+    x = -0.020720092136855488
+    v, d1, d2 = make_W_delta(pot, 0.001).eval_all(np.array([x]))
+    assert np.all(np.isfinite([v, d1, d2]))
+    g = pot.convex_part
+    xs = x + np.linspace(-1e-6, 1e-6, 2001)
+    y = g.prox(0.001, xs)
+    assert np.max(np.abs(y + 0.001 * g.minimal_section(y) - xs)) <= 1e-12
