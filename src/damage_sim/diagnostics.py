@@ -154,8 +154,9 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
         E = np.array([energy(s, mat, pot, ops) for s in traj.snapshots])
         D = np.zeros(K + 1)
         uni = True
+        mono = _mono_tol(traj)
         for k in range(1, K + 1):
-            dv = dissipation(traj.snapshots[k], mat, ops)
+            dv = dissipation(traj.snapshots[k], mat, ops, tol_mono=mono)
             D[k] = dv.value
             uni &= dv.unidirectional
         work = np.zeros(K + 1)

@@ -290,6 +290,29 @@ def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0) -> np.ndarray
     return banded_matvec(sops.bsym(chi0), x) / sops.ops.w
 
 
+def _chi_t_newton(sops: StrongOperators, B: np.ndarray, coeff: float,
+                  rhs: np.ndarray, x: np.ndarray) -> tuple:
+    """Newton with SPD tridiagonal Jacobian for coeff B x + w (x + I_reg(x))
+    = rhs, from x; returns (x, residual evaluations).
+
+    Accepts a residual below 1e-13 (1 + max|rhs|) or below the round-off of
+    coeff B x, where the residual can stall above that tolerance; a residual
+    above both after 60 Newton steps is a failed solve."""
+    w = sops.ops.w
+    tol = 1e-13 * (1.0 + float(np.max(np.abs(rhs))))
+    for it in range(1, 61):
+        ival, idiff, _ = sops.reg_I.eval_all(x)
+        F = coeff * banded_matvec(B, x) + w * (x + ival) - rhs
+        fn = float(np.max(np.abs(F)))
+        if fn <= tol or fn <= 4.0 * np.finfo(float).eps * coeff * float(
+                np.max(banded_matvec(np.abs(B), np.abs(x)))):
+            return x, it
+        J = coeff * B
+        J[1] += w * (1.0 + idiff)
+        x = x + solveh_banded(J, -F)
+    raise StageError(f"chi_t Newton did not converge: residual {fn:.3e}")
+
+
 def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
                  f_modal, tol_ode: float, max_outer: int = 40):
     """Solve the theta-stage system m = z + dt F(m); returns the stage state."""
@@ -315,26 +338,7 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
         coeff = nu / dt + dt
         rhs_chi = (nu / dt) * ops.w * state.omega_t - ops.w * (state.omega + G)
 
-        # Newton in chi_t with SPD tridiagonal Jacobian
-        x = chit_m.copy()
-        for _ in range(60):
-            ival, idiff, _ = sops.reg_I.eval_all(x)
-            F = coeff * banded_matvec(B, x) + ops.w * (x + ival) - rhs_chi
-            fn = float(np.max(np.abs(F)))
-            if fn <= 1e-13 * (1.0 + float(np.max(np.abs(rhs_chi)))):
-                break
-            J = coeff * B
-            J[1] += ops.w * (1.0 + idiff)
-            x = x + solveh_banded(J, -F)
-        else:
-            # the residual can stall at the round-off of coeff * B x, above
-            # the tolerance; a residual beyond that is a failed solve
-            floor = 4.0 * np.finfo(float).eps * coeff * float(
-                np.max(banded_matvec(np.abs(B), np.abs(x))))
-            if fn > floor:
-                raise StageError(
-                    f"chi_t Newton did not converge: residual {fn:.3e}")
-        chit_m = x
+        chit_m, _ = _chi_t_newton(sops, B, coeff, rhs_chi, chit_m)
         omt_m = banded_matvec(B, chit_m) / ops.w
         om_m = state.omega + dt * omt_m
         chi_new, _ = chi_from_omega(sops, om_m, chi_init=chi_m,

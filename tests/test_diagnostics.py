@@ -467,6 +467,20 @@ def test_edi_series_path_matches_snapshot_recomputation():
     assert np.allclose(strided.slack, series_only.slack, atol=1e-12)
 
 
+def test_edi_recompute_path_uses_configured_mono_tolerance():
+    # a 1e-8 increase of chi lies inside a configured tol.mono = 1e-6, so
+    # the snapshot recomputation must accept it as the run series and UEDI do
+    flat = parse_config_text(config_text("quadratic"))
+    flat["tol.mono"] = 1e-6
+    traj = run_weak(build_scenario(flat))
+    traj.snapshots[5].chi_t[10] = 1e-8
+    assert traj.extras["edi_series"]["unidirectional"]
+    assert uedi_check(traj).unidirectional
+    rep = discrete_edi_check(traj)
+    assert rep.D_inst.size == len(traj)      # the recompute path ran
+    assert rep.unidirectional
+
+
 def test_strided_run_keeps_edi_checkable():
     cfg = _weak_config(K=40, output_stride=10)
     traj = run_weak(cfg)

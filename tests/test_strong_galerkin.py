@@ -366,6 +366,28 @@ def test_chi_t_newton_failure_raises_stage_error():
         sg._stage_solve(sops, state, 1e-3, np.zeros(n1), 1e-8)
 
 
+def test_chi_t_newton_stops_at_round_off(monkeypatch):
+    # acceptance criterion 11's first rung (delta = 0.5, nu = 0.0625, N = 65):
+    # its residuals stall at the round-off of coeff B x, above 1e-13, which
+    # must end the iteration instead of running it to the cap of 60
+    real = sg._chi_t_newton
+    counts = []
+
+    def counting(*args, **kw):
+        x, its = real(*args, **kw)
+        counts.append(its)
+        return x, its
+
+    monkeypatch.setattr(sg, "_chi_t_newton", counting)
+    p = RegParams.from_schedule(1)
+    assert (p.delta, p.nu) == (0.5, 0.0625)
+    run_strong(_strong_config(
+        N=65, T=0.5, K=100,
+        strong=StrongSettings(n_modes=10, delta=p.delta, nu=p.nu, steps=100,
+                              varpi0="slaved")))
+    assert counts and max(counts) < 60
+
+
 def _strong_demo(overrides):
     text = config_text("strong_demo")
     for old, new in overrides:

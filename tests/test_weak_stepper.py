@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,13 +165,60 @@ def test_inner_solver_against_enumeration_random_qp():
         assert np.max(np.abs(chi - ref)) <= 1e-8
 
 
-def test_damage_step_newton_alone_on_quadratic_suite_run():
+@pytest.fixture(scope="module")
+def suite_reports():
+    return {name: run_weak(cfg).step_reports
+            for name, cfg in standard_suite().items()}
+
+
+def newton_total(reports):
+    return sum(r.newton_iterations for r in reports)
+
+
+def test_damage_step_newton_alone_on_every_suite_run(suite_reports):
     # the active-set Newton iteration finishes every step; FISTA never runs
-    traj = run_weak(standard_suite()["quadratic"])
-    reports = traj.step_reports
-    assert len(reports) == 400
+    for name, reports in suite_reports.items():
+        assert len(reports) == 400, name
+        assert all(r.inner_iterations == 0 for r in reports), name
+        assert all(r.newton_iterations >= 1 for r in reports), name
+    # started from clip(chi_prev), where a receding front moves about one
+    # node per side and Newton step, these runs take 1928 (logarithmic) and
+    # 482 (indicator_box) Newton steps
+    assert newton_total(suite_reports["logarithmic"]) <= 700
+    assert newton_total(suite_reports["indicator_box"]) <= 482
+
+
+def test_predictor_start_on_fine_mesh_logarithmic_run():
+    # started from clip(chi_prev) this run takes 6512 Newton steps
+    cfg = replace(standard_suite()["logarithmic"], N=801)
+    reports = run_weak(cfg).step_reports
     assert all(r.inner_iterations == 0 for r in reports)
-    assert all(r.newton_iterations >= 1 for r in reports)
+    assert newton_total(reports) <= 1500
+
+
+def test_damage_step_default_start_is_chi_prev():
+    # a seeded subproblem with a damage front; the digest pins the minimizer
+    # reached from chi^{k-1} bit for bit
+    ops = assemble_operators(build_mesh(41, 1.0))
+    pot = make_potential("indicator_box", {"ell": 1.0})
+    rng = np.random.default_rng(7)
+    x = ops.mesh.nodes
+    u_prev = 1.5 * np.exp(-((x - rng.uniform(0.3, 0.7)) / 0.15) ** 2)
+    chi_prev = np.clip(0.9 + 0.05 * rng.standard_normal(41), 0.0, 1.0)
+    sub = assemble_damage_subproblem(ops, material(), pot, u_prev, chi_prev,
+                                     0.0025)
+    chi, rep = damage_step(sub)
+    assert rep.newton_iterations == 3 and rep.active_count == 7
+    assert hashlib.sha256(chi.tobytes()).hexdigest() == (
+        "66c0a647042c2d0bf1ecc2a4e5ce494b6afcbbb86c432d95ca35b91c021d4a97")
+    chi_same, _ = damage_step(sub, start=chi_prev)
+    assert np.array_equal(chi_same, chi)
+    # any feasible start reaches the same minimizer; the decrease is still
+    # measured from chi^{k-1}
+    chi_far, rep_far = damage_step(sub, start=np.full(41, 0.5))
+    assert np.max(np.abs(chi_far - chi)) <= 1e-10
+    assert rep_far.objective_decrease == pytest.approx(rep.objective_decrease,
+                                                       abs=1e-12)
 
 
 def test_damage_step_fista_fallback_matches_newton_path():
