@@ -28,6 +28,11 @@ fast layer when omega_t(0) is off the slow manifold, the first
 ``startup_steps`` steps are taken as pairs of backward-Euler half-steps
 (Rannacher smoothing), which preserves the overall second order.
 
+Each stage's outer iteration starts from the predictor chi + dt chi_t of
+its start state, not from chi, and the midpoint update extrapolates chi as
+2 stage - start like every other field, so the coherence restoration at
+the end of the step starts near its answer as well.
+
 The scheme conserves the mean-displacement identity exactly in the discrete
 sense (constant test function), tracked per step with scheme-consistent
 quadrature weights.
@@ -315,14 +320,19 @@ def _chi_t_newton(sops: StrongOperators, B: np.ndarray, coeff: float,
 
 def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
                  f_modal, tol_ode: float, max_outer: int = 40):
-    """Solve the theta-stage system m = z + dt F(m); returns the stage state."""
+    """Solve the theta-stage system m = z + dt F(m) by outer (Picard)
+    iteration in chi, started from the predictor chi + dt chi_t of the state.
+
+    Returns (stage state, outer iterations, chi_from_omega Newton iterations
+    summed over the outer iterations)."""
     ops = sops.ops
     nu = sops.params.nu
-    chi_m = state.chi.copy()
+    chi_m = state.chi + dt * state.chi_t
     chit_m = state.chi_t.copy()
     v_m = state.cdot.copy()
     c_m = state.c.copy()
     n1 = state.c.size
+    newton = 0
 
     flow_scale = 1.0 + float(np.max(np.abs(state.omega)))
     for outer in range(1, max_outer + 1):
@@ -341,8 +351,9 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
         chit_m, _ = _chi_t_newton(sops, B, coeff, rhs_chi, chit_m)
         omt_m = banded_matvec(B, chit_m) / ops.w
         om_m = state.omega + dt * omt_m
-        chi_new, _ = chi_from_omega(sops, om_m, chi_init=chi_m,
-                                    tol_ell=min(tol_ode, 1e-10))
+        chi_new, info = chi_from_omega(sops, om_m, chi_init=chi_m,
+                                       tol_ell=min(tol_ode, 1e-10))
+        newton += info["iterations"]
 
         # flow-rule residual at the stage point
         flow_res = (nu * (omt_m - state.omega_t) / dt + om_m + chit_m
@@ -357,7 +368,7 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
         raise StageError(f"stage iteration stalled: flow residual {rn:.3e}")
 
     return SpectralState(t=state.t + dt, c=c_m, cdot=v_m, omega=om_m,
-                         omega_t=omt_m, chi=chi_m, chi_t=chit_m), outer
+                         omega_t=omt_m, chi=chi_m, chi_t=chit_m), outer, newton
 
 
 def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
@@ -365,12 +376,21 @@ def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
                      kind: str = "midpoint", min_dt_factor: float = 2.0 ** -6):
     """Advance one step of size tau; halves the substep on stage failure.
 
-    kind = "midpoint": symmetric second-order stage at t + tau/2;
-    kind = "be": two backward-Euler half-steps (startup smoothing).
-    Returns (state, stage_records) where each record carries the quadrature
-    data (dt, t_eval, f_modal, extra_weight) of the mean-identity bookkeeping.
+    kind = "midpoint": symmetric second-order stage at t + tau/2, whose
+    update extrapolates every field, chi included, as 2 stage - start;
+    kind = "be": two backward-Euler half-steps (startup smoothing).  Each
+    stage solve starts from the predictor chi + dt chi_t, and the coherence
+    restoration at the end starts from the updated chi.
+
+    Returns (state, records, counts).  Each record (dt, s, f0) carries the
+    mean-identity quadrature of one substep: it adds dt (t - s) f0 to the
+    mean displacement at time t, f0 being the constant-mode forcing
+    coefficient.  counts holds the stage outer iterations
+    ("inner_iterations") and the chi_from_omega Newton iterations
+    ("newton_iterations") of the accepted substeps and the restoration.
     """
     records = []
+    counts = {"inner_iterations": 0, "newton_iterations": 0}
 
     def advance(z, dt_nominal, scheme):
         dt_try = dt_nominal
@@ -378,47 +398,51 @@ def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
             nsub = int(round(dt_nominal / dt_try))
             try:
                 cur = z
-                recs = []
+                recs, outer, newton = [], 0, 0
                 for i in range(nsub):
                     if scheme == "midpoint":
                         t_eval = cur.t + 0.5 * dt_try
                         fm = forcing_modal(t_eval)
-                        stage, _ = _stage_solve(sops, cur, 0.5 * dt_try, fm,
-                                                tol_ode)
+                        stage, o, n = _stage_solve(sops, cur, 0.5 * dt_try,
+                                                   fm, tol_ode)
                         new = SpectralState(
                             t=cur.t + dt_try,
                             c=2.0 * stage.c - cur.c,
                             cdot=2.0 * stage.cdot - cur.cdot,
                             omega=2.0 * stage.omega - cur.omega,
                             omega_t=2.0 * stage.omega_t - cur.omega_t,
-                            chi=stage.chi, chi_t=stage.chi_t)
-                        recs.append((dt_try, t_eval, fm, 0.0))
+                            chi=2.0 * stage.chi - cur.chi,
+                            chi_t=stage.chi_t)
+                        recs.append((dt_try, t_eval, fm[0]))
                     else:
-                        t_eval = cur.t + dt_try
-                        fm = forcing_modal(t_eval)
-                        new, _ = _stage_solve(sops, cur, dt_try, fm, tol_ode)
-                        recs.append((dt_try, t_eval, fm, dt_try))
+                        fm = forcing_modal(cur.t + dt_try)
+                        new, o, n = _stage_solve(sops, cur, dt_try, fm,
+                                                 tol_ode)
+                        recs.append((dt_try, cur.t, fm[0]))
+                    outer += o
+                    newton += n
                     cur = new
-                return cur, recs
             except StageError:
                 if dt_try <= dt_nominal * min_dt_factor:
                     raise
                 dt_try *= 0.5
+                continue
+            records.extend(recs)
+            counts["inner_iterations"] += outer
+            counts["newton_iterations"] += newton
+            return cur
 
     if kind == "be":
-        out, recs = advance(state, 0.5 * tau, "be")
-        records.extend(recs)
-        out, recs = advance(out, 0.5 * tau, "be")
-        records.extend(recs)
+        out = advance(advance(state, 0.5 * tau, "be"), 0.5 * tau, "be")
     else:
-        out, recs = advance(state, tau, "midpoint")
-        records.extend(recs)
+        out = advance(state, tau, "midpoint")
 
     # coherence restoration at the accepted time level
-    chi, _ = chi_from_omega(sops, out.omega, chi_init=out.chi)
+    chi, info = chi_from_omega(sops, out.omega, chi_init=out.chi)
+    counts["newton_iterations"] += info["iterations"]
     out.chi = chi
     out.chi_t = chi_rate_from_omega_rate(sops, chi, out.omega_t)
-    return out, records
+    return out, records, counts
 
 
 def run_strong(config: ScenarioConfig):
@@ -469,7 +493,7 @@ def run_strong(config: ScenarioConfig):
                       tau=tau,
                       extras={"config": config, "params": params,
                               "reg_W": reg_W, "reg_I": reg_I, "basis": basis,
-                              "mean_identity": [], "stage_records": []})
+                              "mean_identity": []})
     monitor = BlowupMonitor(psi_max=settings.psi_max)
 
     ones = np.ones(mesh.N)
@@ -480,8 +504,11 @@ def run_strong(config: ScenarioConfig):
     int_h3 = 0.0
     prev_h3sq = ops.h3_norm(basis.synthesize(cdot0)) ** 2
     last_t = 0.0
+    # running sums of dt f0 and dt s f0 over the substep records, so that
+    # the forcing term of the mean identity at time t is t sum_f - sum_sf
+    sum_f = sum_sf = 0.0
 
-    def record(state, stage_log):
+    def record(state):
         nonlocal int_h3, prev_h3sq, last_t
         u = basis.synthesize(state.c)
         v = basis.synthesize(state.cdot)
@@ -495,8 +522,7 @@ def run_strong(config: ScenarioConfig):
             ops.l2_norm_lumped(state.omega), int_h3,
             params.nu * ops.l2_norm_lumped(state.omega_t) ** 2)
         # discrete mean identity (constant test function)
-        dd = sum(dt * (state.t - te + extra) * sqrtL * fm[0]
-                 for dt, te, fm, extra in stage_log)
+        dd = sqrtL * (state.t * sum_f - sum_sf)
         res = abs(sqrtL * state.c[0] - int_u0 - state.t * int_v0 - dd)
         traj.extras["mean_identity"].append(
             (state.t, res, 1.0 + abs(sqrtL * state.c[0])))
@@ -507,28 +533,27 @@ def run_strong(config: ScenarioConfig):
             v_modal=state.cdot.copy()))
         return psi
 
-    stage_log = []
-    record(state, stage_log)
+    record(state)
 
     stride = max(1, int(config.output_stride))
     for k in range(1, steps + 1):
         kind = "be" if k <= settings.startup_steps else "midpoint"
         try:
-            state, recs = step_regularized(sops, state, tau, forcing_modal,
-                                           tol_ode=config.tolerances.ode,
-                                           kind=kind)
+            state, recs, counts = step_regularized(
+                sops, state, tau, forcing_modal,
+                tol_ode=config.tolerances.ode, kind=kind)
         except StageError as exc:
             exc.partial_trajectory = traj
             exc.failed_step = k
             raise
-        stage_log.extend(recs)
-        traj.step_reports.append(StepReport(step=k))
+        for dt, s, f0 in recs:
+            sum_f += dt * f0
+            sum_sf += dt * s * f0
+        traj.step_reports.append(StepReport(step=k, **counts))
         if k % stride == 0 or k == steps:
-            psi = record(state, stage_log)
+            psi = record(state)
             if psi > settings.psi_max:
                 monitor.horizon_time = state.t
                 break
-    traj.extras["stage_records"] = [
-        (dt, te, extra) for dt, te, _, extra in stage_log]
     monitor.finalize_formula(config.material.growth_p, config.material.growth_q)
     return traj, monitor

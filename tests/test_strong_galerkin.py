@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from damage_sim.config import build_scenario, parse_config_text
+from damage_sim.cli import _refined, run_scenario
+from damage_sim.config import build_scenario, load_scenario, parse_config_text
 from damage_sim.discretization import (
     assemble_operators,
     build_mesh,
@@ -35,7 +37,7 @@ from damage_sim.strong_galerkin import (
 )
 
 from oracles import banded_to_dense, modal_exact_solution
-from suite_configs import config_text
+from suite_configs import CONFIG_DIR, config_text
 
 
 def strong_material(**kw):
@@ -426,3 +428,21 @@ def test_no_evaluation_repeats_the_previous_argument(monkeypatch, overrides):
 def test_strong_demo_fine_mesh_completes():
     _, monitor = run_strong(_strong_demo([("mesh.N = 101", "mesh.N = 2049")]))
     assert monitor.to_dict()["verdict"] == "completed"
+
+
+def test_predictor_start_iteration_counts(tmp_path):
+    # every step reports its stage outer iterations and chi_from_omega
+    # Newton iterations; started from chi + dt chi_t, strong_demo takes 297
+    # outer iterations (362 from chi) and the compare_demo surrogate 805
+    # (1,206 from chi)
+    out = tmp_path / "strong_demo"
+    assert run_scenario(str(CONFIG_DIR / "strong_demo.cfg"), "strong",
+                        str(out)) == 0
+    demo = json.loads((out / "run_report.json").read_text())["step_reports"]
+    cfg, flat = load_scenario(str(CONFIG_DIR / "compare_demo.cfg"))
+    surrogate, _ = run_strong(_refined(cfg, flat))
+    compare = [r.to_dict() for r in surrogate.step_reports]
+    for reports, bound in ((demo, 320), (compare, 880)):
+        assert all(r["inner_iterations"] >= 1 and r["newton_iterations"] >= 1
+                   for r in reports)
+        assert sum(r["inner_iterations"] for r in reports) <= bound
