@@ -150,7 +150,10 @@ def _run_compare_mode(config, flat, outdir):
     strong_traj, _ = run_strong(surrogate)
     c_rei = float(flat.get("compare.c_rei", 1.0))
     rep = diag.rei_check(weak_traj, strong_traj, c_rei=c_rei)
-    files = []
+    # the surrogate's solver reports, never its snapshots
+    write_json(os.path.join(outdir, "surrogate_run_report.json"),
+               strong_traj.run_report())
+    files = ["surrogate_run_report.json"]
     wcum = np.concatenate([[0.0], np.cumsum(
         0.5 * np.diff(rep.times) * (rep.W[1:] + rep.W[:-1]))])
     write_csv(os.path.join(outdir, "relative.csv"),

@@ -13,7 +13,10 @@ steppers use, so the inequality checks close up to solver tolerances:
 with l_i(u) the trapezoid elastic load (so sum_i a_i l_i = 1/2 u^T S_a u
 exactly).  The discrete energy-dissipation check reproduces the telescoped
 step inequality; the continuous-time checks integrate by the trapezoid rule
-on output times.
+on output times.  Both read the snapshots, stacked BLOCK at a time into
+(rows, N) arrays on which one evaluator forms E, D, the unidirectionality
+flag and the work of the forcings row by row; ``energy`` and
+``dissipation`` evaluate the same formulas on a single snapshot.
 
 The relative energy R, relative dissipation W, and the Gronwall weight K
 follow the weak-strong uniqueness machinery; the indicator contributions to
@@ -56,20 +59,87 @@ __all__ = [
 # Pointwise functionals
 # ---------------------------------------------------------------------------
 
+# Snapshots per stacked evaluation: the accounting of a run works on blocks
+# of at most BLOCK snapshots, so its memory stays O(BLOCK N) for any length.
+BLOCK = 64
+
+
+def _rowdot(x, y):
+    return np.einsum("...i,...i->...", x, y)
+
+
+def _energy_rows(U, V, X, wvals, material, ops):
+    """E of each row of the stacked fields (..., N), wvals the potential at
+    X; a single field gives a scalar."""
+    if not np.all(np.isfinite(wvals)):
+        raise ValueError("chi leaves the domain of the potential")
+    E = (0.5 * _rowdot(V, banded_matvec(ops.M, V))
+         + _rowdot(material.a(X), ops.elastic_load(U, material.C))
+         + 0.5 * _rowdot(X, banded_matvec(ops.S, X))
+         + _rowdot(wvals, ops.w))
+    g2 = material.gamma2_eff
+    if g2 > 0.0:
+        E += 0.5 * g2 * (U[..., 0] ** 2 + U[..., -1] ** 2)
+    return E
+
+
+def _dissipation_rows(V, X, Xt, material, ops, tol_mono):
+    """(D, unidirectional) of each row of the stacked fields (..., N)."""
+    be = ops.element_mean(material.b(X))
+    D = (np.sum(be * material.V * ops.strain(V) ** 2, axis=-1) * ops.mesh.h
+         + _rowdot(Xt ** 2, ops.w))
+    g1 = material.gamma1_eff
+    if g1 > 0.0:
+        D += g1 * (V[..., 0] ** 2 + V[..., -1] ** 2)
+    return D, np.max(Xt, axis=-1) <= tol_mono
+
+
+def _accounting(snaps, material, potential, ops, tol_mono, power):
+    """E, D, the unidirectionality flag and power(rows, V) of each snapshot,
+    evaluated on the stacked fields of at most BLOCK snapshots at a time
+    (V the stacked velocities of the snapshots ``rows``)."""
+    n = len(snaps)
+    E, D, P, uni = np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool)
+    for j in range(0, n, BLOCK):
+        rows = slice(j, min(j + BLOCK, n))
+        U, V, X, Xt = (np.array([getattr(s, f) for s in snaps[rows]])
+                       for f in ("u", "v", "chi", "chi_t"))
+        E[rows] = _energy_rows(U, V, X, potential.W(X), material, ops)
+        D[rows], uni[rows] = _dissipation_rows(V, X, Xt, material, ops,
+                                               tol_mono)
+        P[rows] = power(rows, V)
+    return E, D, P, uni
+
+
+def _power(ops, material, F, G, V):
+    """Power M f . v + (g(0) v(0) + g(L) v(L)) / gamma0 of volume forcings F
+    and boundary forcings G against the velocities V, row by row."""
+    return (_rowdot(banded_matvec(ops.M, F), V)
+            + (G[:, 0] * V[:, 0] + G[:, 1] * V[:, -1]) / material.gamma0)
+
+
+def step_series(snaps, k0, material, potential, ops, tau, fbar, gbar,
+                tol_mono):
+    """E, D and the step work tau P(fbar_k, gbar_k; v^k) of the snapshots of
+    steps k0, k0 + 1, ..., and whether every step is unidirectional.  Step
+    0 has no dissipation and does no work."""
+    def step_work(rows, V):
+        prev = np.arange(k0 + rows.start, k0 + rows.stop) - 1
+        return tau * _power(ops, material, fbar[prev], gbar[prev], V)
+
+    E, D, work, uni = _accounting(snaps, material, potential, ops, tol_mono,
+                                  step_work)
+    if k0 == 0:
+        D[0] = work[0] = 0.0
+        uni[0] = True
+    return E, D, work, bool(np.all(uni))
+
+
 def energy(snap: Snapshot, material: MaterialLaw, potential: PotentialSplit,
            ops: Operators) -> float:
     """Discrete stored energy of one snapshot."""
-    wvals = potential.W(snap.chi)
-    if not np.all(np.isfinite(wvals)):
-        raise ValueError("chi leaves the domain of the potential")
-    val = (0.5 * banded_quadform(ops.M, snap.v)
-           + float(np.dot(material.a(snap.chi), ops.elastic_load(snap.u, material.C)))
-           + 0.5 * banded_quadform(ops.S, snap.chi)
-           + float(np.dot(ops.w, wvals)))
-    g2 = material.gamma2_eff
-    if g2 > 0.0:
-        val += 0.5 * g2 * (snap.u[0] ** 2 + snap.u[-1] ** 2)
-    return val
+    return float(_energy_rows(snap.u, snap.v, snap.chi,
+                              potential.W(snap.chi), material, ops))
 
 
 @dataclass(frozen=True)
@@ -85,15 +155,9 @@ def dissipation(snap: Snapshot, material: MaterialLaw, ops: Operators,
                 tol_mono: float = 1e-10) -> DissipationValue:
     """Instantaneous dissipation; the indicator of {chi_t <= 0} is reported
     as a feasibility flag instead of an infinite value."""
-    eps_v = ops.strain(snap.v)
-    be = ops.element_mean(material.b(snap.chi))
-    val = (float(np.sum(be * material.V * eps_v**2) * ops.mesh.h)
-           + float(np.dot(ops.w, snap.chi_t**2)))
-    g1 = material.gamma1_eff
-    if g1 > 0.0:
-        val += g1 * (snap.v[0] ** 2 + snap.v[-1] ** 2)
-    feasible = bool(np.max(snap.chi_t) <= tol_mono)
-    return DissipationValue(value=val, unidirectional=feasible)
+    D, uni = _dissipation_rows(snap.v, snap.chi, snap.chi_t, material, ops,
+                               tol_mono)
+    return DissipationValue(value=float(D), unidirectional=bool(uni))
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +187,16 @@ class EnergyReport:
 def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     """Slack of the telescoped step inequality E_k + tau sum D_j <= E_0 + work.
 
-    Uses the per-step series the stepper accumulated (every step, regardless
-    of the snapshot stride); for hand-built trajectories without the series
-    it recomputes everything from full-resolution snapshots and the stored
-    local means of the forcings.  The default tolerance is (inner tolerance)
-    x (step count), the only admissible source of negative slack.
+    Full-resolution trajectories with stored local means of the forcings are
+    checked from their snapshots (``step_series``, BLOCK snapshots at a
+    time); strided ones use the per-step series the stepper accumulated
+    (every step, regardless of the snapshot stride).  The default tolerance
+    is (inner tolerance) x (step count), the only admissible source of
+    negative slack.
     """
     if traj.mode != "weak":
         raise ValueError("discrete EDI applies to weak-mode trajectories")
     config = traj.extras.get("config")
-    ops, mat, pot = traj.ops, traj.material, traj.potential
     tau = traj.tau
 
     series = traj.extras.get("edi_series")
@@ -149,23 +213,11 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
         work = np.asarray(series["work"])
         uni = bool(series["unidirectional"])
     else:
-        K = len(traj) - 1
         times = traj.time_array()
-        E = np.array([energy(s, mat, pot, ops) for s in traj.snapshots])
-        D = np.zeros(K + 1)
-        uni = True
-        mono = _mono_tol(traj)
-        for k in range(1, K + 1):
-            dv = dissipation(traj.snapshots[k], mat, ops, tol_mono=mono)
-            D[k] = dv.value
-            uni &= dv.unidirectional
-        work = np.zeros(K + 1)
-        for k in range(1, K + 1):
-            v = traj.snapshots[k].v
-            wk = tau * float(np.dot(banded_matvec(ops.M, traj.fbar[k - 1]), v))
-            wk += tau * (traj.gbar[k - 1][0] * v[0]
-                         + traj.gbar[k - 1][1] * v[-1]) / mat.gamma0
-            work[k] = work[k - 1] + wk
+        E, D, work, uni = step_series(
+            traj.snapshots, 0, traj.material, traj.potential, traj.ops, tau,
+            traj.fbar, np.asarray(traj.gbar), _mono_tol(traj))
+        work = np.cumsum(work)
 
     if tol is None:
         inner = config.tolerances.inner if config is not None else 1e-10
@@ -182,27 +234,22 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     Dissipation and external work are integrated by the trapezoid rule, with
     the true forcing values (not their local means); the tolerance budget
     therefore scales with the output spacing squared plus O(tau) from the
-    mean-vs-pointwise forcing gap.
+    mean-vs-pointwise forcing gap.  The snapshots are evaluated BLOCK at a
+    time, with the forcing profile evaluated once.
     """
     config = traj.extras.get("config")
     forcing = (config.forcing if config is not None else None) or Forcing.zero()
     boundary = (config.boundary if config is not None else None) or BoundaryForcing.zero()
-    ops, mat, pot = traj.ops, traj.material, traj.potential
+    ops, mat = traj.ops, traj.material
     times = traj.time_array()
     n = len(traj)
-    E = np.array([energy(s, mat, pot, ops) for s in traj.snapshots])
-    D = np.zeros(n)
-    workrate = np.zeros(n)
-    uni = True
-    mono = _mono_tol(traj)
-    for k, s in enumerate(traj.snapshots):
-        dv = dissipation(s, mat, ops, tol_mono=mono)
-        D[k] = dv.value
-        uni &= dv.unidirectional
-        fv = forcing.at(times[k], traj.mesh.nodes)
-        workrate[k] = float(np.dot(banded_matvec(ops.M, fv), s.v))
-        gv = boundary.at(times[k])
-        workrate[k] += (gv[0] * s.v[0] + gv[1] * s.v[-1]) / mat.gamma0
+    profile = forcing.profile_on(traj.mesh.nodes)
+    factor = np.array([forcing.factor.at(t) for t in times])
+    G = np.array([boundary.at(t) for t in times])
+    E, D, workrate, uni = _accounting(
+        traj.snapshots, mat, traj.potential, ops, _mono_tol(traj),
+        lambda rows, V: _power(ops, mat, profile * factor[rows, None],
+                               G[rows], V))
     Dcum = _cumtrapz(D, times)
     Wcum = _cumtrapz(workrate, times)
     if tol is None:
@@ -211,7 +258,7 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
         tol = scale * (dt + dt * dt) * 10.0 + 1e-8
     slack = (E[0] + Wcum) - (E + Dcum)
     return EnergyReport(times=times, E=E, D_inst=D, D_cum=Dcum, work_cum=Wcum,
-                        slack=slack, unidirectional=uni, tol=tol)
+                        slack=slack, unidirectional=bool(np.all(uni)), tol=tol)
 
 
 def _cumtrapz(y, x):
@@ -305,17 +352,11 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     Rrate = np.zeros(n)
     workrate = np.zeros(n)
     for k, s in enumerate(traj.snapshots):
-        E[k] = (0.5 * banded_quadform(ops.M, s.v)
-                + float(np.dot(mat.a(s.chi), ops.elastic_load(s.u, mat.C)))
-                + 0.5 * banded_quadform(ops.S, s.chi)
-                + float(np.dot(ops.w, reg_W.potential_on_grid(s.chi)
-                               - 0.5 * pot.ell * s.chi**2)))
-        eps_v = ops.strain(s.v)
-        be = ops.element_mean(mat.b(s.chi))
-        ival = reg_I.value(s.chi_t)
-        D[k] = (float(np.sum(be * mat.V * eps_v**2) * ops.mesh.h)
-                + float(np.dot(ops.w, s.chi_t**2))
-                + float(np.dot(ops.w, ival * s.chi_t)))
+        # strong mode has no Robin terms (gamma1 = gamma2 = 0)
+        E[k] = _energy_rows(s.u, s.v, s.chi, reg_W.potential_on_grid(s.chi)
+                            - 0.5 * pot.ell * s.chi**2, mat, ops)
+        D[k] = (_dissipation_rows(s.v, s.chi, s.chi_t, mat, ops, 0.0)[0]
+                + float(np.dot(ops.w, reg_I.value(s.chi_t) * s.chi_t)))
         _, w1, w2 = reg_W.eval_all(s.chi)
         V[k] = 0.5 * nu * (float(np.dot(ops.w, s.chi_t**2))
                            + banded_quadform(ops.S, s.chi_t)

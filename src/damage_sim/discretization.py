@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "Mesh1D",
@@ -40,6 +40,8 @@ __all__ = [
     "build_mesh",
     "assemble_operators",
     "weighted_stiffness_banded",
+    "solve_spd_tridiag",
+    "solve_tridiag",
     "neumann_eigenbasis",
     "EigenSolveError",
 ]
@@ -70,16 +72,57 @@ def build_mesh(N: int, L: float) -> Mesh1D:
 # left), row 1 the diagonal -- the layout of scipy.linalg.solveh_banded.
 
 def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for a field x, or row by row for a stack of fields (..., N)."""
     up, diag = ab[0], ab[1]
     y = diag * x
-    y[:-1] += up[1:] * x[1:]
-    y[1:] += up[1:] * x[:-1]
+    y[..., :-1] += up[1:] * x[..., 1:]
+    y[..., 1:] += up[1:] * x[..., :-1]
     return y
 
 
 def banded_quadform(ab: np.ndarray, x: np.ndarray, y: Optional[np.ndarray] = None) -> float:
     y = x if y is None else y
     return float(np.dot(x, banded_matvec(ab, y)))
+
+
+# Tridiagonal solves call the LAPACK routines ?ptsv and ?gtsv directly
+# (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999): the routines, bits
+# and checks of solveh_banded and solve_banded((1, 1), ...) without the
+# wrappers' per-call cost.
+_PTSV, _GTSV = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(0),))
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def solve_spd_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b, A SPD tridiagonal in banded symmetric storage (N >= 2);
+    ValueError on non-finite input, LinAlgError if A is not SPD."""
+    _require_finite(ab, b)
+    _, _, x, info = _PTSV(ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite")
+    return x
+
+
+def solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonal dl, d,
+    du (partial pivoting); ValueError on non-finite input, LinAlgError if
+    singular.  A 1 x 1 system is b / d, as in solve_banded: f2py's ?gtsv
+    rejects an empty off-diagonal."""
+    _require_finite(dl, d, du, b)
+    if d.size == 1:
+        if d[0] == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return b / d
+    _, _, _, x, info = _GTSV(dl, d, du, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 @dataclass(frozen=True)
@@ -122,7 +165,7 @@ class Operators:
         return float(np.sqrt(self.h2_norm(z) ** 2 + self.h1_semi(lap) ** 2))
 
     def strain(self, u) -> np.ndarray:
-        """Elementwise strain of a P1 field ((N-1,) array)."""
+        """Elementwise strain of a P1 field ((..., N-1) array)."""
         return np.diff(u) / self.mesh.h
 
     def elastic_load(self, u, modulus: float) -> np.ndarray:
@@ -131,14 +174,14 @@ class Operators:
         l_i = modulus/2 * sum over elements at node i of (h/2) strain^2.
         """
         e = 0.5 * modulus * self.strain(u) ** 2 * (0.5 * self.mesh.h)
-        load = np.zeros(self.mesh.N)
-        load[:-1] += e
-        load[1:] += e
+        load = np.zeros(np.shape(u))
+        load[..., :-1] += e
+        load[..., 1:] += e
         return load
 
     def element_mean(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        return 0.5 * (c[:-1] + c[1:])
+        return 0.5 * (c[..., :-1] + c[..., 1:])
 
 
 def assemble_operators(mesh: Mesh1D) -> Operators:
@@ -234,7 +277,7 @@ def neumann_eigenbasis(mesh: Mesh1D, V: float, n: int,
     # residual in the M^{-1} dual norm, relative to the eigenvalue scale
     for k in range(n + 1):
         r = V * banded_matvec(ops.S, vecs[:, k]) - vals[k] * banded_matvec(ops.M, vecs[:, k])
-        rn = float(np.sqrt(np.dot(r, solveh_banded(ops.M, r))))
+        rn = float(np.sqrt(np.dot(r, solve_spd_tridiag(ops.M, r))))
         if rn > tol_eig * (1.0 + abs(vals[k])):
             raise EigenSolveError(
                 f"eigenpair {k} residual {rn:.3e} exceeds tol {tol_eig:.3e}")

@@ -91,7 +91,7 @@ class Forcing:
     profile: Union[np.ndarray, Callable, None]
     factor: TimeFactor
 
-    def _profile_on(self, x_nodes):
+    def profile_on(self, x_nodes):
         if self.profile is None:
             return np.ones_like(x_nodes)
         if callable(self.profile):
@@ -99,10 +99,10 @@ class Forcing:
         return np.asarray(self.profile, dtype=float)
 
     def at(self, t, x_nodes) -> np.ndarray:
-        return self._profile_on(x_nodes) * self.factor.at(t)
+        return self.profile_on(x_nodes) * self.factor.at(t)
 
     def mean(self, t0, t1, x_nodes) -> np.ndarray:
-        return self._profile_on(x_nodes) * self.factor.mean(t0, t1)
+        return self.profile_on(x_nodes) * self.factor.mean(t0, t1)
 
     @staticmethod
     def zero() -> "Forcing":

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .discretization import (
     EigenBasis,
@@ -55,6 +54,7 @@ from .discretization import (
     banded_quadform,
     build_mesh,
     neumann_eigenbasis,
+    solve_spd_tridiag,
 )
 from .forcing import Forcing
 from .model import MaterialLaw, PotentialSplit, ScenarioConfig, StrongSettings
@@ -231,8 +231,9 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
     Damped Newton on the lumped FEM system; monotonicity of the regularized
     derivative makes the Jacobian S + W_L diag(1 + W'') SPD, so the iteration
     is globally convergent with backtracking.  Returns (chi, info) where info
-    reports the measured stability ratio S0 = (||chi||_H2 + ||W'(chi)||) /
-    ||omega|| (not asserted).
+    reports the Newton steps taken ("iterations", 0 for a start that already
+    converged) and the measured stability ratio S0 = (||chi||_H2 +
+    ||W'(chi)||) / ||omega|| (not asserted).
     """
     ops = sops.ops
     chi = (omega.copy() if chi_init is None else chi_init.copy())
@@ -253,7 +254,7 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
             break
         J = ops.S.copy()
         J[1] += ops.w * (1.0 + wd)
-        step = solveh_banded(J, -r)
+        step = solve_spd_tridiag(J, -r)
         lam = 1.0
         for _ in range(40):
             cand = chi + lam * step
@@ -271,13 +272,13 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
     wnorm = ops.l2_norm_lumped(wv)
     onorm = ops.l2_norm_lumped(omega)
     s0 = (ops.h2_norm(chi) + wnorm) / onorm if onorm > 0 else math.inf
-    return chi, {"iterations": it, "residual": rn, "S0_measured": s0}
+    return chi, {"iterations": it - 1, "residual": rn, "S0_measured": s0}
 
 
 def chi_rate_from_omega_rate(sops: StrongOperators, chi: np.ndarray,
                              omega_t: np.ndarray) -> np.ndarray:
     """Solve (S + W_L diag(1 + W''(chi))) chi_t = W_L omega_t."""
-    return solveh_banded(sops.bsym(chi), sops.ops.w * omega_t)
+    return solve_spd_tridiag(sops.bsym(chi), sops.ops.w * omega_t)
 
 
 def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0) -> np.ndarray:
@@ -314,7 +315,7 @@ def _chi_t_newton(sops: StrongOperators, B: np.ndarray, coeff: float,
             return x, it
         J = coeff * B
         J[1] += w * (1.0 + idiff)
-        x = x + solveh_banded(J, -F)
+        x = x + solve_spd_tridiag(J, -F)
     raise StageError(f"chi_t Newton did not converge: residual {fn:.3e}")
 
 

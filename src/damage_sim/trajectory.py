@@ -151,6 +151,17 @@ class Trajectory:
         return out
 
     # -- serialization -------------------------------------------------------
+    def run_report(self) -> dict:
+        """Payload of run_report.json: run metadata and the step reports."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "mode": self.mode,
+            "steps": len(self.step_reports),
+            "tau": self.tau,
+            "mesh": {"N": self.mesh.N, "L": self.mesh.L},
+            "step_reports": [r.to_dict() for r in self.step_reports],
+        }
+
     def save(self, outdir: str) -> list:
         os.makedirs(outdir, exist_ok=True)
         written = []
@@ -168,14 +179,6 @@ class Trajectory:
                   ["index", "t"],
                   [np.arange(len(self.times)), np.asarray(self.times)])
         written.append("manifest_times.csv")
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "steps": len(self.step_reports),
-            "tau": self.tau,
-            "mesh": {"N": self.mesh.N, "L": self.mesh.L},
-            "step_reports": [r.to_dict() for r in self.step_reports],
-        }
-        write_json(os.path.join(outdir, "run_report.json"), report)
+        write_json(os.path.join(outdir, "run_report.json"), self.run_report())
         written.append("run_report.json")
         return written

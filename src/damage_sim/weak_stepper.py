@@ -36,6 +36,11 @@ for graphs without Newton data.  Positivity of chi is never imposed: when
 the degradation coefficient a is nondecreasing, convex, and vanishes on the
 negative axis, the minimizer is automatically nonnegative, and the
 truncation consistency check verifies that after the fact.
+
+The reduced Newton systems and the momentum system are tridiagonal and go
+straight to LAPACK (?gtsv and ?ptsv).  The energy, dissipation and work of
+every step, which the discrete EDI check needs at any output stride, are
+evaluated on the buffered snapshots of BLOCK steps at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from .discretization import (
     Operators,
@@ -54,6 +58,8 @@ from .discretization import (
     banded_matvec,
     banded_quadform,
     build_mesh,
+    solve_spd_tridiag,
+    solve_tridiag,
     weighted_stiffness_banded,
 )
 from .forcing import BoundaryForcing, Forcing, local_time_means
@@ -192,17 +198,6 @@ def damage_tau_max(potential: PotentialSplit) -> float:
     return 1.0 / (2.0 * c * c)
 
 
-def _reduced_tridiag(J: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows and columns idx of the symmetric banded (upper, diag) J, in the
-    general (upper, diag, lower) layout of solve_banded((1, 1), ...)."""
-    ab = np.zeros((3, idx.size))
-    ab[1] = J[1, idx]
-    off = np.where(np.diff(idx) == 1, J[0, idx[1:]], 0.0)
-    ab[0, 1:] = off
-    ab[2, :-1] = off
-    return ab
-
-
 def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
                 max_polish: int | None = None, hard_cap: int = 20000,
                 start: np.ndarray | None = None) -> tuple:
@@ -317,9 +312,12 @@ def _active_set_polish(sub: DamageSubproblem, x: np.ndarray, tol: float,
             if sub.material.a.d2 is not None:
                 J[1] += sub.material.a.d2(chi_new) * sub.load
             idx = np.flatnonzero(inactive)
+            # rows and columns idx of J: neighbours in idx that are not
+            # neighbours on the mesh do not couple
+            off = np.where(np.diff(idx) == 1, J[0, idx[1:]], 0.0)
             # residual at the snapped point, coupling to active values included
             Rs = residual(chi_new)
-            d = solve_banded((1, 1), _reduced_tridiag(J, idx), -Rs[idx])
+            d = solve_tridiag(off, J[1, idx], off, -Rs[idx])
             chi_new[idx] += d
             chi_new[idx] = np.clip(chi_new[idx], lb[idx], ub[idx])
         stalled = (np.max(np.abs(chi_new - chi))
@@ -361,7 +359,7 @@ def momentum_step(ops: Operators, material: MaterialLaw, chi: np.ndarray,
     rhs[-1] += gbar[1] / material.gamma0
 
     try:
-        u = solveh_banded(A, rhs)
+        u = solve_spd_tridiag(A, rhs)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - defensive
         raise MomentumSolveError(str(exc)) from exc
     res = float(np.max(np.abs(banded_matvec(A, u) - rhs))
@@ -381,10 +379,12 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
 
     Snapshots are retained every ``output_stride`` steps (first and last
     always).  The per-step energy/dissipation/work scalars feeding the
-    discrete EDI check are accumulated inline at every step regardless of
-    the stride, so long runs stay within O(N) memory per retained snapshot.
+    discrete EDI check are accumulated at every step regardless of the
+    stride: each step's snapshot is buffered, and the buffer is evaluated
+    stacked (``diagnostics.step_series``) every BLOCK steps and at the last
+    one, so long runs hold O(BLOCK N) beyond the retained snapshots.
     """
-    from .diagnostics import dissipation, energy
+    from .diagnostics import BLOCK, step_series
 
     mesh = build_mesh(config.N, config.L)
     ops = assemble_operators(mesh)
@@ -411,11 +411,9 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
     traj.append(snap0)
 
     stride = max(1, int(config.output_stride))
-    E_series = np.zeros(config.K + 1)
-    D_series = np.zeros(config.K + 1)
-    work_series = np.zeros(config.K + 1)
+    E_series, D_series, work_series = np.zeros((3, config.K + 1))
     mono_ok = True
-    E_series[0] = energy(snap0, config.material, config.potential, ops)
+    pending, k0 = [snap0], 0       # snapshots of steps k0, k0 + 1, ...
 
     state = SimState(t=0.0, u=u0.copy(), v=v0.copy(), chi=chi0.copy(),
                      chi_prev=chi0.copy())
@@ -444,20 +442,19 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
                          chi=chi_k, chi_prev=state.chi)
         snap = Snapshot(t=state.t, u=state.u, v=state.v, chi=state.chi,
                         chi_t=(state.chi - state.chi_prev) / tau)
-        E_series[k] = energy(snap, config.material, config.potential, ops)
-        dv = dissipation(snap, config.material, ops,
-                         tol_mono=config.tolerances.mono)
-        D_series[k] = dv.value
-        mono_ok &= dv.unidirectional
-        wk = tau * float(np.dot(banded_matvec(ops.M, fbar[k - 1]), state.v))
-        wk += tau * (gbar[k - 1][0] * state.v[0] + gbar[k - 1][1] * state.v[-1]) \
-            / config.material.gamma0
-        work_series[k] = work_series[k - 1] + wk
+        pending.append(snap)
+        if len(pending) == BLOCK or k == config.K:
+            rows = slice(k0, k + 1)
+            E_series[rows], D_series[rows], work_series[rows], uni = \
+                step_series(pending, k0, config.material, config.potential,
+                            ops, tau, fbar, gbar, config.tolerances.mono)
+            mono_ok &= uni
+            pending, k0 = [], k + 1
         if k % stride == 0 or k == config.K:
             traj.append(snap)
     traj.extras["edi_series"] = {
         "times": tau * np.arange(config.K + 1),
-        "E": E_series, "D": D_series, "work": work_series,
+        "E": E_series, "D": D_series, "work": np.cumsum(work_series),
         "unidirectional": mono_ok,
     }
     return traj

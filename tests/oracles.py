@@ -10,6 +10,8 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import roots_legendre
 
+from damage_sim.discretization import banded_matvec, banded_quadform
+
 
 def banded_to_dense(ab):
     """Dense symmetric matrix of a (2, N) banded operator (superdiagonal in
@@ -248,3 +250,79 @@ def potential_on_grid_per_interval(reg, xs):
     cum = np.cumsum(steps)
     rel = cum[inv[:-1]] - cum[inv[-1]]
     return float(reg.ref_envelope(x0)) + rel.reshape(xs.shape)
+
+
+def energy_per_snapshot(snap, material, potential, ops):
+    """Discrete stored energy of one snapshot, one scalar product per term."""
+    wvals = potential.W(snap.chi)
+    if not np.all(np.isfinite(wvals)):
+        raise ValueError("chi leaves the domain of the potential")
+    val = (0.5 * banded_quadform(ops.M, snap.v)
+           + float(np.dot(material.a(snap.chi), ops.elastic_load(snap.u, material.C)))
+           + 0.5 * banded_quadform(ops.S, snap.chi)
+           + float(np.dot(ops.w, wvals)))
+    g2 = material.gamma2_eff
+    if g2 > 0.0:
+        val += 0.5 * g2 * (snap.u[0] ** 2 + snap.u[-1] ** 2)
+    return val
+
+
+def dissipation_per_snapshot(snap, material, ops, tol_mono=1e-10):
+    """(dissipation, unidirectional) of one snapshot."""
+    eps_v = ops.strain(snap.v)
+    be = ops.element_mean(material.b(snap.chi))
+    val = (float(np.sum(be * material.V * eps_v**2) * ops.mesh.h)
+           + float(np.dot(ops.w, snap.chi_t**2)))
+    g1 = material.gamma1_eff
+    if g1 > 0.0:
+        val += g1 * (snap.v[0] ** 2 + snap.v[-1] ** 2)
+    return val, bool(np.max(snap.chi_t) <= tol_mono)
+
+
+def edi_per_snapshot(traj, mono):
+    """(E, D, cumulative work, slack, unidirectional) of the discrete EDI of
+    a full-resolution weak trajectory, one snapshot at a time."""
+    ops, mat, pot = traj.ops, traj.material, traj.potential
+    tau = traj.tau
+    K = len(traj) - 1
+    E = np.array([energy_per_snapshot(s, mat, pot, ops) for s in traj.snapshots])
+    D = np.zeros(K + 1)
+    uni = True
+    for k in range(1, K + 1):
+        D[k], flag = dissipation_per_snapshot(traj.snapshots[k], mat, ops, mono)
+        uni &= flag
+    work = np.zeros(K + 1)
+    for k in range(1, K + 1):
+        v = traj.snapshots[k].v
+        wk = tau * float(np.dot(banded_matvec(ops.M, traj.fbar[k - 1]), v))
+        wk += tau * (traj.gbar[k - 1][0] * v[0]
+                     + traj.gbar[k - 1][1] * v[-1]) / mat.gamma0
+        work[k] = work[k - 1] + wk
+    Dcum = np.concatenate([[0.0], np.cumsum(tau * D[1:])])
+    return E, D, work, (E[0] + work) - (E + Dcum), uni
+
+
+def uedi_per_snapshot(traj, forcing, boundary, mono):
+    """(E, D, cumulative work, slack, unidirectional) of the continuous-time
+    UEDI on output times, one snapshot at a time."""
+    ops, mat, pot = traj.ops, traj.material, traj.potential
+    times = traj.time_array()
+    n = len(traj)
+    E = np.array([energy_per_snapshot(s, mat, pot, ops) for s in traj.snapshots])
+    D = np.zeros(n)
+    workrate = np.zeros(n)
+    uni = True
+    for k, s in enumerate(traj.snapshots):
+        D[k], flag = dissipation_per_snapshot(s, mat, ops, mono)
+        uni &= flag
+        fv = forcing.at(times[k], traj.mesh.nodes)
+        workrate[k] = float(np.dot(banded_matvec(ops.M, fv), s.v))
+        gv = boundary.at(times[k])
+        workrate[k] += (gv[0] * s.v[0] + gv[1] * s.v[-1]) / mat.gamma0
+
+    def cumtrapz(y):
+        return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times)
+                                                * (y[1:] + y[:-1]))])
+
+    Wcum = cumtrapz(workrate)
+    return E, D, Wcum, (E[0] + Wcum) - (E + cumtrapz(D)), uni

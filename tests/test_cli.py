@@ -161,6 +161,14 @@ def test_compare_mode_produces_relative_csv(tmp_path):
     assert set(rel.dtype.names) == {"t", "R", "W_cum", "K", "rhs", "slack"}
     report = json.loads((out / "report.json").read_text())
     assert report["sup_R"] >= 0.0
+    # the strong surrogate's solver reports (K = 10 steps refined twice in
+    # time), without its snapshots
+    surrogate = json.loads((out / "surrogate_run_report.json").read_text())
+    assert surrogate["mode"] == "strong" and surrogate["steps"] == 20
+    assert [r["step"] for r in surrogate["step_reports"]] == list(range(1, 21))
+    assert not list(out.glob("snap_*.csv"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "surrogate_run_report.json" in manifest["files"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -30,8 +30,15 @@ from damage_sim.strong_galerkin import run_strong
 from damage_sim.trajectory import Snapshot
 from damage_sim.weak_stepper import run_weak
 
-from oracles import rei_slack_quadratic, simpson_energy
-from suite_configs import config_text
+from oracles import (
+    dissipation_per_snapshot,
+    edi_per_snapshot,
+    energy_per_snapshot,
+    rei_slack_quadratic,
+    simpson_energy,
+    uedi_per_snapshot,
+)
+from suite_configs import config_text, standard_suite
 
 
 def material(a="quadratic_plus", **kw):
@@ -163,6 +170,65 @@ def test_edi_detects_injected_energy():
     assert np.min(rep.slack[3:]) < -1e-3
     urep = uedi_check(traj)
     assert np.min(urep.slack[3:]) < -1e-3
+
+
+def test_edi_detects_injected_energy_in_second_block():
+    # snapshot 70 lies in the second block of the stacked accounting
+    traj = run_weak(_weak_config(K=100, T=1.0))
+    traj.snapshots[70].v = traj.snapshots[70].v + 2.0
+    for rep in (discrete_edi_check(traj), uedi_check(traj)):
+        assert not rep.passed
+        assert int(np.argmin(rep.slack)) == 70
+        assert np.min(rep.slack[:70]) >= -rep.tol
+
+
+@pytest.fixture(scope="module")
+def accounting_runs():
+    """The five weak suite runs and strong_demo."""
+    runs = {name: run_weak(cfg) for name, cfg in standard_suite().items()}
+    cfg = build_scenario(parse_config_text(config_text("strong_demo")))
+    runs["strong_demo"] = run_strong(cfg)[0]
+    return runs
+
+
+@pytest.mark.parametrize("name", ["quadratic", "logarithmic", "indicator_box",
+                                  "strong_damage", "robin_loaded",
+                                  "strong_demo"])
+def test_stacked_accounting_matches_per_snapshot_oracle(accounting_runs, name):
+    from damage_sim.diagnostics import _mono_tol
+    from damage_sim.forcing import BoundaryForcing
+
+    traj = accounting_runs[name]
+    config = traj.extras["config"]
+    mono = _mono_tol(traj)
+    checks = [(uedi_check(traj), uedi_per_snapshot(
+        traj, config.forcing or Forcing.zero(),
+        config.boundary or BoundaryForcing.zero(), mono))]
+    if traj.mode == "weak":
+        checks.append((discrete_edi_check(traj), edi_per_snapshot(traj, mono)))
+    for rep, (E, D, work, slack, uni) in checks:
+        tol = 1e-14 * (1.0 + np.max(np.abs(E)))
+        for got, want in ((rep.E, E), (rep.D_inst, D), (rep.work_cum, work),
+                          (rep.slack, slack)):
+            assert np.max(np.abs(got - want)) <= tol
+        assert rep.unidirectional == uni
+    # the single-snapshot wrappers evaluate the same formulas
+    mat, pot, ops = traj.material, traj.potential, traj.ops
+    for s in traj.snapshots[::37]:
+        assert abs(energy(s, mat, pot, ops)
+                   - energy_per_snapshot(s, mat, pot, ops)) <= tol
+        dv = dissipation(s, mat, ops, mono)
+        D1, uni1 = dissipation_per_snapshot(s, mat, ops, mono)
+        assert abs(dv.value - D1) <= tol and dv.unidirectional == uni1
+
+
+def test_in_run_series_equals_snapshot_recomputation_bitwise(accounting_runs):
+    # the stepper flushes the same blocks the check evaluates
+    traj = accounting_runs["robin_loaded"]
+    series = traj.extras["edi_series"]
+    rep = discrete_edi_check(traj)
+    for key, got in (("E", rep.E), ("D", rep.D_inst), ("work", rep.work_cum)):
+        assert np.array_equal(series[key], got)
 
 
 def test_edi_requires_weak_mode():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.linalg import solve_banded, solveh_banded
 
 from damage_sim.discretization import (
     EigenSolveError,
@@ -8,6 +9,8 @@ from damage_sim.discretization import (
     banded_quadform,
     build_mesh,
     neumann_eigenbasis,
+    solve_spd_tridiag,
+    solve_tridiag,
     weighted_stiffness_banded,
 )
 
@@ -175,3 +178,85 @@ def test_eigenbasis_csv_export(tmp_path):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert data.shape[0] == 21
     assert set(data.dtype.names) == {"x", "mode_0", "mode_1", "mode_2"}
+
+
+# ---------------------------------------------------------------------------
+# Direct LAPACK tridiagonal solves
+# ---------------------------------------------------------------------------
+
+def _systems(n, seed):
+    """Seeded SPD banded (2, n) and general (3, n) tridiagonal systems."""
+    rng = np.random.default_rng(seed)
+    spd = np.zeros((2, n))
+    spd[0, 1:] = rng.uniform(-1.0, 1.0, n - 1)
+    spd[1] = 2.5 + rng.uniform(0.0, 1.0, n)
+    gen = np.zeros((3, n))
+    gen[0, 1:] = rng.uniform(-1.0, 1.0, n - 1)
+    gen[1] = rng.uniform(-2.0, 2.0, n)
+    gen[2, :-1] = rng.uniform(-1.0, 1.0, n - 1)
+    return spd, gen, rng.uniform(-1.0, 1.0, n)
+
+
+def _gen_parts(gen):
+    return gen[2, :-1], gen[1], gen[0, 1:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 201])
+def test_tridiag_helpers_match_scipy_bitwise(n):
+    for seed in range(5):
+        spd, gen, b = _systems(n, seed)
+        x = solve_tridiag(*_gen_parts(gen), b)
+        assert np.array_equal(x, solve_banded((1, 1), gen, b))
+        if n == 1:
+            # solveh_banded rejects a (2, 1) band, and so does ?ptsv
+            with pytest.raises(ValueError):
+                solveh_banded(spd, b)
+            with pytest.raises(ValueError):
+                solve_spd_tridiag(spd, b)
+        else:
+            assert np.array_equal(solve_spd_tridiag(spd, b),
+                                  solveh_banded(spd, b))
+        # inputs are left untouched
+        assert np.array_equal(b, _systems(n, seed)[2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tridiag_helpers_reject_non_finite_input(bad):
+    for n in (1, 2, 201):
+        spd, gen, b = _systems(n, 0)
+        for row in range(2):
+            if row == 0 and n == 1:
+                continue
+            A = spd.copy()
+            A[row, -1] = bad
+            with pytest.raises(ValueError):
+                solve_spd_tridiag(A, b)
+        for i in range(3):
+            parts = [p.copy() for p in _gen_parts(gen)]
+            if parts[i].size == 0:
+                continue
+            parts[i][0] = bad
+            with pytest.raises(ValueError):
+                solve_tridiag(*parts, b)
+        rhs = b.copy()
+        rhs[-1] = bad
+        if n > 1:
+            with pytest.raises(ValueError):
+                solve_spd_tridiag(spd, rhs)
+        with pytest.raises(ValueError):
+            solve_tridiag(*_gen_parts(gen), rhs)
+
+
+def test_tridiag_helpers_raise_linalg_error():
+    spd, gen, b = _systems(201, 0)
+    indefinite = spd.copy()
+    indefinite[1, 100] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd_tridiag(indefinite, b)
+    # a zero row is singular, whatever the pivoting
+    dl, d, du = (p.copy() for p in _gen_parts(gen))
+    dl[99] = d[100] = du[100] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_tridiag(dl, d, du, b)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_tridiag(np.zeros(0), np.zeros(1), np.zeros(0), np.ones(1))

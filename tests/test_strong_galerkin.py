@@ -10,6 +10,7 @@ from damage_sim.discretization import (
     assemble_operators,
     build_mesh,
     neumann_eigenbasis,
+    solve_spd_tridiag,
     weighted_stiffness_banded,
 )
 from damage_sim.model import (
@@ -121,6 +122,25 @@ def test_chi_from_omega_indicator_vs_picard_oracle():
             break
         x = x_new
     assert np.max(np.abs(chi - x)) <= 1e-8
+
+
+def test_chi_from_omega_reports_its_newton_steps(monkeypatch):
+    # one SPD solve per Newton step; a converged start takes none
+    calls = []
+
+    def counting(ab, b):
+        calls.append(1)
+        return solve_spd_tridiag(ab, b)
+
+    monkeypatch.setattr(sg, "solve_spd_tridiag", counting)
+    sops = make_sops(potential=make_potential("smooth_double_well"))
+    omega = 1.0 + 0.3 * np.cos(np.pi * sops.ops.mesh.nodes)
+    chi, info = chi_from_omega(sops, omega)
+    assert info["iterations"] >= 2
+    assert len(calls) == info["iterations"]
+    calls.clear()
+    _, info = chi_from_omega(sops, omega, chi_init=chi)
+    assert info["iterations"] == len(calls) == 0
 
 
 def test_chi_from_omega_reports_stability_ratio():

@@ -254,6 +254,25 @@ def test_momentum_zero_data_gives_zero():
     assert res <= 1e-14
 
 
+def test_solves_reject_non_finite_data():
+    # the tridiagonal solves check their input as scipy's wrappers did
+    ops = assemble_operators(build_mesh(11, 1.0))
+    mat = material()
+    pot = make_potential("quadratic")
+    u_prev = np.zeros(11)
+    u_prev[4] = np.nan
+    sub = assemble_damage_subproblem(ops, mat, pot, u_prev, np.full(11, 0.8),
+                                     0.05)
+    with pytest.raises(ValueError):
+        damage_step(sub)
+    z = np.zeros(11)
+    fbar = np.zeros(11)
+    fbar[3] = np.nan
+    with pytest.raises(ValueError):
+        momentum_step(ops, mat, np.full(11, 0.8), z, z, 0.05, fbar,
+                      np.zeros(2))
+
+
 def test_momentum_against_dense_oracle_5_nodes():
     # a = 0, b = 1, V = 1: a viscous wave step checked against a dense solve
     # with independently assembled matrices
