@@ -15,8 +15,9 @@ exactly).  The discrete energy-dissipation check reproduces the telescoped
 step inequality; the continuous-time checks integrate by the trapezoid rule
 on output times.  Both read the snapshots, stacked BLOCK at a time into
 (rows, N) arrays on which one evaluator forms E, D, the unidirectionality
-flag and the work of the forcings row by row; ``energy`` and
-``dissipation`` evaluate the same formulas on a single snapshot.
+flag and the work of the forcings (rows of a ``SampledForcing``) row by
+row; ``energy`` and ``dissipation`` evaluate the same formulas on a single
+snapshot.
 
 The relative energy R, relative dissipation W, and the Gronwall weight K
 follow the weak-strong uniqueness machinery; the indicator contributions to
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discretization import Operators, banded_matvec, banded_quadform
-from .forcing import BoundaryForcing, Forcing
+from .forcing import BoundaryForcing, Forcing, SampledForcing, point_values
 from .model import MaterialLaw, PotentialSplit
 from .trajectory import Snapshot, Trajectory
 
@@ -111,21 +112,22 @@ def _accounting(snaps, material, potential, ops, tol_mono, power):
     return E, D, P, uni
 
 
-def _power(ops, material, F, G, V):
-    """Power M f . v + (g(0) v(0) + g(L) v(L)) / gamma0 of volume forcings F
-    and boundary forcings G against the velocities V, row by row."""
+def _power(ops, material, forcing: SampledForcing, samples, V):
+    """Power M f . v + (g(0) v(0) + g(L) v(L)) / gamma0 of the forcing rows
+    ``samples`` against the velocities V, row by row."""
+    F, G = forcing.rows(samples)
     return (_rowdot(banded_matvec(ops.M, F), V)
             + (G[:, 0] * V[:, 0] + G[:, 1] * V[:, -1]) / material.gamma0)
 
 
-def step_series(snaps, k0, material, potential, ops, tau, fbar, gbar,
-                tol_mono):
+def step_series(snaps, k0, material, potential, ops, tau,
+                means: SampledForcing, tol_mono):
     """E, D and the step work tau P(fbar_k, gbar_k; v^k) of the snapshots of
     steps k0, k0 + 1, ..., and whether every step is unidirectional.  Step
     0 has no dissipation and does no work."""
     def step_work(rows, V):
         prev = np.arange(k0 + rows.start, k0 + rows.stop) - 1
-        return tau * _power(ops, material, fbar[prev], gbar[prev], V)
+        return tau * _power(ops, material, means, prev, V)
 
     E, D, work, uni = _accounting(snaps, material, potential, ops, tol_mono,
                                   step_work)
@@ -187,12 +189,12 @@ class EnergyReport:
 def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     """Slack of the telescoped step inequality E_k + tau sum D_j <= E_0 + work.
 
-    Full-resolution trajectories with stored local means of the forcings are
-    checked from their snapshots (``step_series``, BLOCK snapshots at a
-    time); strided ones use the per-step series the stepper accumulated
-    (every step, regardless of the snapshot stride).  The default tolerance
-    is (inner tolerance) x (step count), the only admissible source of
-    negative slack.
+    Trajectories with a snapshot at every step are checked from their
+    snapshots and the run's forcing means (``step_series``, BLOCK snapshots
+    at a time); strided ones use the per-step series the stepper
+    accumulated (every step, regardless of the snapshot stride).  The
+    default tolerance is (inner tolerance) x (step count), the only
+    admissible source of negative slack.
     """
     if traj.mode != "weak":
         raise ValueError("discrete EDI applies to weak-mode trajectories")
@@ -200,23 +202,19 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
     tau = traj.tau
 
     series = traj.extras.get("edi_series")
-    full_snapshots = (traj.fbar is not None
-                      and np.allclose(np.diff(traj.time_array()), tau))
-    if not full_snapshots:
+    if not np.allclose(np.diff(traj.time_array()), tau):
         # strided trajectory: fall back to the series accumulated in-run
         if series is None:
             raise ValueError("trajectory carries neither full-resolution "
                              "snapshots nor the accumulated EDI series")
-        times = np.asarray(series["times"])
-        E = np.asarray(series["E"])
-        D = np.asarray(series["D"])
-        work = np.asarray(series["work"])
+        times, E, D, work = (np.asarray(series[key])
+                             for key in ("times", "E", "D", "work"))
         uni = bool(series["unidirectional"])
     else:
         times = traj.time_array()
         E, D, work, uni = step_series(
             traj.snapshots, 0, traj.material, traj.potential, traj.ops, tau,
-            traj.fbar, np.asarray(traj.gbar), _mono_tol(traj))
+            traj.forcing_means, _mono_tol(traj))
         work = np.cumsum(work)
 
     if tol is None:
@@ -235,7 +233,7 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     the true forcing values (not their local means); the tolerance budget
     therefore scales with the output spacing squared plus O(tau) from the
     mean-vs-pointwise forcing gap.  The snapshots are evaluated BLOCK at a
-    time, with the forcing profile evaluated once.
+    time, against the forcings sampled at the output times.
     """
     config = traj.extras.get("config")
     forcing = (config.forcing if config is not None else None) or Forcing.zero()
@@ -243,13 +241,10 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     ops, mat = traj.ops, traj.material
     times = traj.time_array()
     n = len(traj)
-    profile = forcing.profile_on(traj.mesh.nodes)
-    factor = np.array([forcing.factor.at(t) for t in times])
-    G = np.array([boundary.at(t) for t in times])
+    sampled = point_values(forcing, boundary, times, traj.mesh.nodes)
     E, D, workrate, uni = _accounting(
         traj.snapshots, mat, traj.potential, ops, _mono_tol(traj),
-        lambda rows, V: _power(ops, mat, profile * factor[rows, None],
-                               G[rows], V))
+        lambda rows, V: _power(ops, mat, sampled, rows, V))
     Dcum = _cumtrapz(D, times)
     Wcum = _cumtrapz(workrate, times)
     if tol is None:

@@ -1,15 +1,16 @@
-"""Volume and boundary forcings with exact local time means.
+"""Volume and boundary forcings with exact local time means, kept separable.
 
-A forcing is separable, f(x, t) = profile(x) * factor(t).  Time factors come
-as analytic callables (integrated adaptively) or as sampled tables with
-linear interpolation in t, whose interval means are computed exactly.
-Boundary forcing g(t) carries one value per end point (x = 0 and x = L).
+A forcing is separable, f(x, t) = profile(x) * factor(t); boundary forcing
+g(t) = weights * factor(t) carries one value per end point (x = 0, x = L).
+Time factors come as analytic callables (integrated adaptively) or as
+sampled tables with linear interpolation in t, whose interval means are
+exact.  ``SampledForcing`` keeps a run's samples in that form, O(K + N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +22,9 @@ __all__ = [
     "TableFactor",
     "Forcing",
     "BoundaryForcing",
+    "SampledForcing",
     "local_time_means",
+    "point_values",
 ]
 
 
@@ -101,16 +104,9 @@ class Forcing:
     def at(self, t, x_nodes) -> np.ndarray:
         return self.profile_on(x_nodes) * self.factor.at(t)
 
-    def mean(self, t0, t1, x_nodes) -> np.ndarray:
-        return self.profile_on(x_nodes) * self.factor.mean(t0, t1)
-
     @staticmethod
     def zero() -> "Forcing":
         return Forcing(profile=None, factor=ConstantFactor(0.0))
-
-    @property
-    def is_zero(self) -> bool:
-        return isinstance(self.factor, ConstantFactor) and self.factor.value == 0.0
 
 
 @dataclass(frozen=True)
@@ -119,12 +115,6 @@ class BoundaryForcing:
 
     factor: TimeFactor
     weights: tuple = (1.0, 1.0)
-
-    def at(self, t) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float) * self.factor.at(t)
-
-    def mean(self, t0, t1) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float) * self.factor.mean(t0, t1)
 
     @staticmethod
     def zero() -> "BoundaryForcing":
@@ -135,21 +125,39 @@ class BoundaryForcing:
         return isinstance(self.factor, ConstantFactor) and self.factor.value == 0.0
 
 
-def local_time_means(forcing: Union[Forcing, BoundaryForcing, TimeFactor],
-                     K: int, tau: float, x_nodes: Optional[np.ndarray] = None,
-                     t0: float = 0.0):
-    """Interval means fbar_k = (1/tau) int_{t_{k-1}}^{t_k} f dt, k = 1..K."""
+@dataclass(frozen=True)
+class SampledForcing:
+    """Forcing and boundary forcing at n samples, kept separable."""
+
+    profile: np.ndarray       # (N,)
+    weights: np.ndarray       # (2,)
+    f_factor: np.ndarray      # (n,)
+    g_factor: np.ndarray      # (n,)
+
+    def rows(self, k) -> tuple:
+        """(f_factor[k] profile, g_factor[k] weights), k an index or array."""
+        return (np.multiply.outer(self.f_factor[k], self.profile),
+                np.multiply.outer(self.g_factor[k], self.weights))
+
+
+def _sample(forcing, boundary, x_nodes, values):
+    return SampledForcing(forcing.profile_on(x_nodes),
+                          np.asarray(boundary.weights, dtype=float),
+                          np.array(values(forcing.factor), dtype=float),
+                          np.array(values(boundary.factor), dtype=float))
+
+
+def local_time_means(forcing: Forcing, boundary: BoundaryForcing, K: int,
+                     tau: float, x_nodes: np.ndarray) -> SampledForcing:
+    """Means (1/tau) int_{t_{k-1}}^{t_k} f, g dt at sample k - 1, k = 1..K."""
     if K < 1 or tau <= 0:
         raise ValueError("need K >= 1 and tau > 0")
-    out = []
-    for k in range(1, K + 1):
-        a, b = t0 + (k - 1) * tau, t0 + k * tau
-        if isinstance(forcing, Forcing):
-            if x_nodes is None:
-                raise ValueError("volume forcing needs node coordinates")
-            out.append(forcing.mean(a, b, x_nodes))
-        elif isinstance(forcing, BoundaryForcing):
-            out.append(forcing.mean(a, b))
-        else:
-            out.append(forcing.mean(a, b))
-    return np.asarray(out)
+    return _sample(forcing, boundary, x_nodes, lambda factor: [
+        factor.mean((k - 1) * tau, k * tau) for k in range(1, K + 1)])
+
+
+def point_values(forcing: Forcing, boundary: BoundaryForcing, times,
+                 x_nodes: np.ndarray) -> SampledForcing:
+    """f(x, t_j) and g(t_j) at the given times, at sample index j."""
+    return _sample(forcing, boundary, x_nodes,
+                   lambda factor: [factor.at(t) for t in times])

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .discretization import Mesh1D, Operators
+from .forcing import SampledForcing
 
 __all__ = ["Snapshot", "StepReport", "Trajectory", "write_csv", "write_json"]
 
@@ -84,8 +85,7 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     step_reports: list = field(default_factory=list)
     tau: float = 0.0
-    fbar: Optional[np.ndarray] = None      # (K, N) local means of f
-    gbar: Optional[np.ndarray] = None      # (K, 2) local means of g
+    forcing_means: Optional[SampledForcing] = None   # weak: fbar_k, gbar_k
     extras: dict = field(default_factory=dict)
 
     def append(self, snap: Snapshot) -> None:

@@ -18,7 +18,7 @@ Each step advances (chi, u) by
        [M/tau^2 + S_{b(chi^k) V}/tau + S_{a(chi^k) C} + boundary] u^k = rhs,
 
      with the Robin terms divided by gamma0 and the rhs built from the
-     local means of the volume and boundary forcings,
+     local means of the volume and boundary forcings (separable, O(K + N)),
 
 started from u^{-1} = u0 - tau v0.  The quadratures are matched so that
 testing step 1 with chi^{k-1} and step 2 with u^k - u^{k-1} telescopes into
@@ -396,16 +396,12 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
         raise ValueError(f"tau = {tau:g} exceeds the coercivity bound {tmax:g}")
 
     u0, v0, chi0 = config.initial_fields(mesh.nodes)
-    forcing = config.forcing or Forcing.zero()
-    boundary = config.boundary or BoundaryForcing.zero()
-    fbar = local_time_means(forcing, config.K, tau, mesh.nodes)
-    gbar = local_time_means(boundary, config.K, tau)
-
-    keep_dense_means = config.K * config.N <= 4_000_000
+    means = local_time_means(config.forcing or Forcing.zero(),
+                             config.boundary or BoundaryForcing.zero(),
+                             config.K, tau, mesh.nodes)
     traj = Trajectory(mode="weak", mesh=mesh, ops=ops,
                       material=config.material, potential=config.potential,
-                      tau=tau, fbar=fbar if keep_dense_means else None,
-                      gbar=gbar, extras={"config": config})
+                      tau=tau, forcing_means=means, extras={"config": config})
     snap0 = Snapshot(t=0.0, u=u0.copy(), v=v0.copy(), chi=chi0.copy(),
                      chi_t=np.zeros_like(chi0))
     traj.append(snap0)
@@ -428,7 +424,7 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
             chi_k, report = damage_step(sub, tol_inner=config.tolerances.inner,
                                         start=predictor)
             u_k, lin_res = momentum_step(ops, config.material, chi_k, state.u,
-                                         u_prev2, tau, fbar[k - 1], gbar[k - 1],
+                                         u_prev2, tau, *means.rows(k - 1),
                                          tol_lin=config.tolerances.lin)
         except (DamageSolveError, MomentumSolveError) as exc:
             exc.partial_trajectory = traj
@@ -447,7 +443,7 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
             rows = slice(k0, k + 1)
             E_series[rows], D_series[rows], work_series[rows], uni = \
                 step_series(pending, k0, config.material, config.potential,
-                            ops, tau, fbar, gbar, config.tolerances.mono)
+                            ops, tau, means, config.tolerances.mono)
             mono_ok &= uni
             pending, k0 = [], k + 1
         if k % stride == 0 or k == config.K:

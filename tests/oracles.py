@@ -11,6 +11,7 @@ from scipy.linalg import eigh
 from scipy.special import roots_legendre
 
 from damage_sim.discretization import banded_matvec, banded_quadform
+from damage_sim.forcing import BoundaryForcing, Forcing
 
 
 def banded_to_dense(ab):
@@ -281,9 +282,14 @@ def dissipation_per_snapshot(snap, material, ops, tol_mono=1e-10):
 
 def edi_per_snapshot(traj, mono):
     """(E, D, cumulative work, slack, unidirectional) of the discrete EDI of
-    a full-resolution weak trajectory, one snapshot at a time."""
+    a full-resolution weak trajectory, one snapshot at a time; each step's
+    forcing means are formed from the run's configuration."""
     ops, mat, pot = traj.ops, traj.material, traj.potential
     tau = traj.tau
+    config = traj.extras["config"]
+    forcing = config.forcing or Forcing.zero()
+    boundary = config.boundary or BoundaryForcing.zero()
+    profile = forcing.profile_on(traj.mesh.nodes)
     K = len(traj) - 1
     E = np.array([energy_per_snapshot(s, mat, pot, ops) for s in traj.snapshots])
     D = np.zeros(K + 1)
@@ -294,9 +300,11 @@ def edi_per_snapshot(traj, mono):
     work = np.zeros(K + 1)
     for k in range(1, K + 1):
         v = traj.snapshots[k].v
-        wk = tau * float(np.dot(banded_matvec(ops.M, traj.fbar[k - 1]), v))
-        wk += tau * (traj.gbar[k - 1][0] * v[0]
-                     + traj.gbar[k - 1][1] * v[-1]) / mat.gamma0
+        fbar = profile * forcing.factor.mean((k - 1) * tau, k * tau)
+        gbar = (np.asarray(boundary.weights, dtype=float)
+                * boundary.factor.mean((k - 1) * tau, k * tau))
+        wk = tau * float(np.dot(banded_matvec(ops.M, fbar), v))
+        wk += tau * (gbar[0] * v[0] + gbar[1] * v[-1]) / mat.gamma0
         work[k] = work[k - 1] + wk
     Dcum = np.concatenate([[0.0], np.cumsum(tau * D[1:])])
     return E, D, work, (E[0] + work) - (E + Dcum), uni
@@ -317,7 +325,8 @@ def uedi_per_snapshot(traj, forcing, boundary, mono):
         uni &= flag
         fv = forcing.at(times[k], traj.mesh.nodes)
         workrate[k] = float(np.dot(banded_matvec(ops.M, fv), s.v))
-        gv = boundary.at(times[k])
+        gv = (np.asarray(boundary.weights, dtype=float)
+              * boundary.factor.at(times[k]))
         workrate[k] += (gv[0] * s.v[0] + gv[1] * s.v[-1]) / mat.gamma0
 
     def cumtrapz(y):

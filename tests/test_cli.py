@@ -313,7 +313,7 @@ def test_streaming_memory_large_run(tmp_path):
     run_scenario(cfg, "weak", str(out))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 512 * 1024**2
+    assert peak < 64 * 1024**2
 
 
 def test_strong_schedule_key_resolves(tmp_path):

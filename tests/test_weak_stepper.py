@@ -12,11 +12,13 @@ from damage_sim.discretization import (
     build_mesh,
 )
 from damage_sim.forcing import (
+    BoundaryForcing,
     CallableFactor,
     ConstantFactor,
     Forcing,
     TableFactor,
     local_time_means,
+    point_values,
 )
 from damage_sim.model import (
     MaterialLaw,
@@ -47,15 +49,21 @@ def material(a="quadratic_plus", **kw):
 # Local time means
 # ---------------------------------------------------------------------------
 
+def _volume_means(forcing, K, tau, x_nodes):
+    means = local_time_means(forcing, BoundaryForcing.zero(), K, tau, x_nodes)
+    return means.rows(np.arange(K))[0]
+
+
 def test_local_means_of_linear_time_factor():
     f = Forcing(profile=None, factor=CallableFactor(lambda t: t))
-    means = local_time_means(f, 2, 0.5, np.array([0.0, 1.0]))
+    means = _volume_means(f, 2, 0.5, np.array([0.0, 1.0]))
     assert np.allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
 
 
 def test_local_means_of_constant():
     f = Forcing(profile=None, factor=ConstantFactor(3.0))
-    means = local_time_means(f, 5, 0.2, np.array([0.0, 0.5, 1.0]))
+    means = _volume_means(f, 5, 0.2, np.array([0.0, 0.5, 1.0]))
+    assert means.shape == (5, 3)
     assert np.allclose(means, 3.0)
 
 
@@ -63,10 +71,40 @@ def test_local_means_of_sine_against_quadrature_oracle():
     fn = lambda t: math.sin(2 * math.pi * t)
     f = Forcing(profile=None, factor=CallableFactor(fn))
     tau = 0.25
-    means = local_time_means(f, 4, tau, np.array([0.0, 1.0]))
+    means = _volume_means(f, 4, tau, np.array([0.0, 1.0]))
     for k in range(4):
         ref, _ = quad(fn, k * tau, (k + 1) * tau, epsabs=1e-14)
         assert means[k, 0] == pytest.approx(ref / tau, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [
+    TableFactor(np.array([0.0, 0.3, 1.0]), np.array([1.0, -2.0, 0.5])),
+    CallableFactor(lambda t: math.sin(2 * math.pi * t) + 0.25 * t)])
+def test_sampled_rows_are_profile_times_factor_bitwise(factor):
+    x = np.linspace(0.0, 1.0, 17)
+    # the cosine mix 0 + cos(pi x) + 0.5 cos(2 pi x) of strong_damage.cfg
+    profile = standard_suite()["strong_damage"].forcing.profile
+    f = Forcing(profile=profile, factor=factor)
+    g = BoundaryForcing(factor=factor, weights=(0.7, -1.3))
+    K, tau = 8, 0.125
+    weights = np.array([0.7, -1.3])
+    means = local_time_means(f, g, K, tau, x)
+    F, G = means.rows(np.arange(K))
+    for k in range(1, K + 1):
+        mean = factor.mean((k - 1) * tau, k * tau)
+        want = f.profile_on(x) * mean
+        f_row, g_row = means.rows(k - 1)
+        assert np.array_equal(F[k - 1], want) and np.array_equal(f_row, want)
+        assert np.array_equal(G[k - 1], weights * mean)
+        assert np.array_equal(g_row, weights * mean)
+    times = np.array([0.0, 0.05, 0.3, 0.71, 1.0])
+    values = point_values(f, g, times, x)
+    F, G = values.rows(slice(0, times.size))
+    for j, t in enumerate(times):
+        f_row, g_row = values.rows(j)
+        assert np.array_equal(F[j], f.at(t, x)) and np.array_equal(f_row, F[j])
+        assert np.array_equal(G[j], weights * factor.at(t))
+        assert np.array_equal(g_row, G[j])
 
 
 def test_table_factor_means_are_exact():
