@@ -68,6 +68,7 @@ __all__ = [
     "StrongOperators",
     "StageError",
     "chi_from_omega",
+    "stability_ratio",
     "chi_rate_from_omega_rate",
     "step_regularized",
     "run_strong",
@@ -188,6 +189,10 @@ class StrongOperators:
     params: RegParams
     # nodal differences dY of the basis vectors, shared by modal_matrices
     dY: np.ndarray = field(init=False, repr=False)
+    # (shape, bytes) of the last damping coefficient b(chi) and its Gram;
+    # not an init field, so dataclasses.replace starts the copy without it
+    _damping_memo: Optional[tuple] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.dY = np.diff(self.basis.vectors, axis=0)
@@ -196,22 +201,33 @@ class StrongOperators:
         """Nodal density q_i of C/2 |u_x|^2 (load / quadrature weight)."""
         return self.ops.elastic_load(u_nodal, self.material.C) / self.ops.w
 
-    def flow_source(self, chi, u_nodal) -> np.ndarray:
-        """G = a'(chi) C/2 |u_x|^2 + Wcheck'(chi) - chi."""
-        return (self.material.a.d1(chi) * self.elastic_density(u_nodal)
+    def flow_source(self, chi, density) -> np.ndarray:
+        """G = a'(chi) C/2 |u_x|^2 + Wcheck'(chi) - chi, with the nodal
+        density of C/2 |u_x|^2 given (``elastic_density``)."""
+        return (self.material.a.d1(chi) * density
                 - self.potential.ell * chi - chi)
 
     def modal_matrices(self, chi):
         """D = Y^T S_{b(chi)V} Y and A = Y^T S_{a(chi)C} Y, each formed as
-        dY^T diag(c_e/h) dY from the nodal differences dY of the basis."""
+        dY^T diag(c_e/h) dY from the nodal differences dY of the basis.
+
+        D is remembered for the last b(chi): a call whose b(chi) has the
+        shape and the bits of the previous call's returns the remembered
+        D (with a constant b, every call after the first).  D is returned
+        as a fresh copy, so a caller that writes into it changes nothing
+        here."""
         dY, h = self.dY, self.ops.mesh.h
 
         def gram(coeff, modulus):
             ce = modulus / h * self.ops.element_mean(coeff)
             return dY.T @ (ce[:, None] * dY)
 
-        return (gram(self.material.b(chi), self.material.V),
-                gram(self.material.a(chi), self.material.C))
+        b = self.material.b(chi)
+        key, memo = (b.shape, b.tobytes()), self._damping_memo
+        if memo is None or memo[0] != key:
+            memo = (key, gram(b, self.material.V))
+            self._damping_memo = memo
+        return memo[1].copy(), gram(self.material.a(chi), self.material.C)
 
     def bsym(self, chi) -> np.ndarray:
         B = self.ops.S.copy()
@@ -232,21 +248,21 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
     derivative makes the Jacobian S + W_L diag(1 + W'') SPD, so the iteration
     is globally convergent with backtracking.  Returns (chi, info) where info
     reports the Newton steps taken ("iterations", 0 for a start that already
-    converged) and the measured stability ratio S0 = (||chi||_H2 +
-    ||W'(chi)||) / ||omega|| (not asserted).
+    converged) and the final residual ("residual"); the measured stability
+    ratio of the answer is ``stability_ratio(sops, chi, omega)``.
     """
     ops = sops.ops
     chi = (omega.copy() if chi_init is None else chi_init.copy())
 
     def residual(c):
-        """Residual at c, with W'(c) and W''(c) from the same evaluation."""
+        """Residual at c, with W''(c) from the same evaluation."""
         wv, wd, _ = sops.reg_W.eval_all(c)
-        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wv, wd
+        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wd
 
     def res_norm(r):
         return float(np.sqrt(np.dot(ops.w, (r / ops.w) ** 2)))
 
-    r, wv, wd = residual(chi)
+    r, wd = residual(chi)
     rn = res_norm(r)
     scale = 1.0 + float(np.max(np.abs(omega)))
     for it in range(1, max_iter + 1):
@@ -258,21 +274,30 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
         lam = 1.0
         for _ in range(40):
             cand = chi + lam * step
-            rc, wvc, wdc = residual(cand)
+            rc, wdc = residual(cand)
             rcn = res_norm(rc)
             if rcn <= (1.0 - 0.25 * lam) * rn or rcn <= tol_ell * scale:
-                chi, r, rn, wv, wd = cand, rc, rcn, wvc, wdc
+                chi, r, rn, wd = cand, rc, rcn, wdc
                 break
             lam *= 0.5
         else:
             raise StageError("chi_from_omega Newton damping exhausted")
     else:
         raise StageError(f"chi_from_omega did not converge: residual {rn:.3e}")
+    return chi, {"iterations": it - 1, "residual": rn}
 
-    wnorm = ops.l2_norm_lumped(wv)
+
+def stability_ratio(sops: StrongOperators, chi: np.ndarray,
+                    omega: np.ndarray) -> float:
+    """Measured stability ratio S0 = (||chi||_H2 + ||W'(chi)||) / ||omega||
+    of the semilinear Neumann solve chi = chi_from_omega(omega) (not
+    asserted); inf for omega = 0."""
+    ops = sops.ops
     onorm = ops.l2_norm_lumped(omega)
-    s0 = (ops.h2_norm(chi) + wnorm) / onorm if onorm > 0 else math.inf
-    return chi, {"iterations": it - 1, "residual": rn, "S0_measured": s0}
+    if onorm <= 0:
+        return math.inf
+    wnorm = ops.l2_norm_lumped(sops.reg_W.value(chi))
+    return (ops.h2_norm(chi) + wnorm) / onorm
 
 
 def chi_rate_from_omega_rate(sops: StrongOperators, chi: np.ndarray,
@@ -285,7 +310,7 @@ def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0) -> np.ndarray
     """Compatible omega_t(0): solve the quasi-static (nu = 0) flow rule
     chi_t + I_delta'(chi_t) = -(omega + G) nodewise, then push the rate
     through the coherence relation omega_t = W_L^{-1} B_sym chi_t."""
-    rhs = -(omega0 + sops.flow_source(chi0, u0_nodal))
+    rhs = -(omega0 + sops.flow_source(chi0, sops.elastic_density(u0_nodal)))
     x = np.minimum(rhs, 0.0)
     for _ in range(80):
         ival, idiff, _ = sops.reg_I.eval_all(x)
@@ -332,19 +357,19 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
     chit_m = state.chi_t.copy()
     v_m = state.cdot.copy()
     c_m = state.c.copy()
-    n1 = state.c.size
+    eye = np.eye(state.c.size)
     newton = 0
 
     flow_scale = 1.0 + float(np.max(np.abs(state.omega)))
     for outer in range(1, max_outer + 1):
         Dm, Am = sops.modal_matrices(chi_m)
-        lhs = np.eye(n1) + dt * Dm + dt * dt * Am
+        lhs = eye + dt * Dm + dt * dt * Am
         rhs = state.cdot + dt * (f_modal - Am @ state.c)
         v_m = np.linalg.solve(lhs, rhs)
         c_m = state.c + dt * v_m
-        u_m = sops.basis.synthesize(c_m)
+        q_m = sops.elastic_density(sops.basis.synthesize(c_m))
 
-        G = sops.flow_source(chi_m, u_m)
+        G = sops.flow_source(chi_m, q_m)
         B = sops.bsym(chi_m)
         coeff = nu / dt + dt
         rhs_chi = (nu / dt) * ops.w * state.omega_t - ops.w * (state.omega + G)
@@ -358,8 +383,8 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
 
         # flow-rule residual at the stage point
         flow_res = (nu * (omt_m - state.omega_t) / dt + om_m + chit_m
-                    + sops.reg_I.value(chit_m) + sops.flow_source(chi_new,
-                                                                  u_m))
+                    + sops.reg_I.value(chit_m)
+                    + sops.flow_source(chi_new, q_m))
         rn = float(np.sqrt(np.dot(ops.w, flow_res**2)))
         drift = float(np.max(np.abs(chi_new - chi_m)))
         chi_m = chi_new

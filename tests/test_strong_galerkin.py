@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from damage_sim.cli import _refined, run_scenario
 from damage_sim.config import build_scenario, load_scenario, parse_config_text
 from damage_sim.discretization import (
+    Operators,
     assemble_operators,
     build_mesh,
     neumann_eigenbasis,
@@ -35,6 +38,7 @@ from damage_sim.strong_galerkin import (
     chi_from_omega,
     chi_rate_from_omega_rate,
     run_strong,
+    stability_ratio,
 )
 
 from oracles import banded_to_dense, modal_exact_solution
@@ -143,11 +147,20 @@ def test_chi_from_omega_reports_its_newton_steps(monkeypatch):
     assert info["iterations"] == len(calls) == 0
 
 
-def test_chi_from_omega_reports_stability_ratio():
-    sops = make_sops()
-    omega = 1.0 + 0.3 * np.cos(np.pi * sops.ops.mesh.nodes)
-    _, info = chi_from_omega(sops, omega)
-    assert np.isfinite(info["S0_measured"]) and info["S0_measured"] > 0
+def test_stability_ratio_matches_inline_formula():
+    # (||chi||_H2 + ||W'(chi)||) / ||omega||, as chi_from_omega once
+    # computed it on every call from its last residual evaluation
+    sops = make_sops(potential=make_potential("smooth_double_well"))
+    ops = sops.ops
+    omega = 1.0 + 0.3 * np.cos(np.pi * ops.mesh.nodes)
+    chi, info = chi_from_omega(sops, omega)
+    assert set(info) == {"iterations", "residual"}
+    wv = sops.reg_W.eval_all(chi)[0]
+    ref = ((ops.h2_norm(chi) + ops.l2_norm_lumped(wv))
+           / ops.l2_norm_lumped(omega))
+    s0 = stability_ratio(sops, chi, omega)
+    assert s0 == ref and math.isfinite(s0) and s0 > 0
+    assert stability_ratio(sops, chi, np.zeros_like(omega)) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +202,48 @@ def test_modal_matrices_against_dense_weighted_stiffness():
                                                       scale=modulus))
         ref = Y.T @ S @ Y
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _damping_gram(sops, chi):
+    """dY^T diag(c_e/h) dY of b(chi) V, formed without the memo."""
+    ops, dY = sops.ops, sops.dY
+    ce = sops.material.V / ops.mesh.h * ops.element_mean(sops.material.b(chi))
+    return dY.T @ (ce[:, None] * dY)
+
+
+def test_modal_matrices_damping_memo_follows_nonconstant_b():
+    sops = make_sops(N=41, n_modes=6,
+                     material=strong_material(b=scalar_fn("quadratic_floor",
+                                                          floor=1.0, scale=0.5)))
+    rng = np.random.default_rng(11)
+    chis = [rng.uniform(0.2, 1.0, 41) for _ in range(2)]
+    for chi in chis + chis[:1]:
+        D, _ = sops.modal_matrices(chi)
+        assert np.array_equal(D, _damping_gram(sops, chi))
+    assert not np.array_equal(*(_damping_gram(sops, c) for c in chis))
+
+
+def test_modal_matrices_damping_memo_returns_fresh_copies():
+    sops = make_sops(N=41, n_modes=6)      # constant b
+    rng = np.random.default_rng(12)
+    D, _ = sops.modal_matrices(rng.uniform(0.2, 1.0, 41))
+    D[:] = 99.0
+    chi = rng.uniform(0.2, 1.0, 41)
+    D2, _ = sops.modal_matrices(chi)
+    assert np.array_equal(D2, _damping_gram(sops, chi))
+
+
+def test_modal_matrices_damping_memo_not_shared_by_replace():
+    # the memo key is b(chi) alone, so a copy with another modulus V that
+    # shared the memo would return the original's D
+    sops = make_sops(N=41, n_modes=6)
+    chi = np.full(41, 0.5)
+    D, _ = sops.modal_matrices(chi)
+    copy = replace(sops, material=replace(sops.material, V=2.0))
+    D2, _ = copy.modal_matrices(chi)
+    assert np.array_equal(D2, _damping_gram(copy, chi))
+    assert np.array_equal(sops.modal_matrices(chi)[0], D)
+    assert not np.array_equal(D2, D)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +499,33 @@ def test_no_evaluation_repeats_the_previous_argument(monkeypatch, overrides):
 
 @pytest.mark.xfail(strict=True, raises=StageError,
                    reason="chi_from_omega asks for a residual below the "
-                          "round-off of S chi / w at N = 2049; fails at step 10")
+                          "round-off of S chi / w at N = 2049; fails at step 9")
 def test_strong_demo_fine_mesh_completes():
     _, monitor = run_strong(_strong_demo([("mesh.N = 101", "mesh.N = 2049")]))
     assert monitor.to_dict()["verdict"] == "completed"
+
+
+def test_h2_norm_is_called_only_when_recording(monkeypatch):
+    # H2 norms feed the blow-up monitor at each recorded snapshot (and, via
+    # h3_norm, run_strong's initial H3 norm); the stage iterations and the
+    # coherence solves compute none
+    real = Operators.h2_norm
+    callers = []
+
+    def spy(self, z):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == real.__code__.co_filename:
+            frame = frame.f_back        # h3_norm calls h2_norm
+        callers.append((frame.f_code.co_filename, frame.f_code.co_name))
+        return real(self, z)
+
+    monkeypatch.setattr(Operators, "h2_norm", spy)
+    traj, _ = run_strong(_strong_demo([("strong.steps = 100",
+                                        "strong.steps = 10")]))
+    assert len(traj.step_reports) == 10
+    assert callers.count((sg.__file__, "run_strong")) == 1
+    assert set(callers) == {(sg.__file__, "record"),
+                            (sg.__file__, "run_strong")}
 
 
 def test_predictor_start_iteration_counts(tmp_path):

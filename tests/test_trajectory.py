@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 
-from damage_sim.trajectory import write_csv
+from damage_sim.trajectory import write_csv, write_json
 
 
 def _write_csv_per_value(path, header, columns):
@@ -28,3 +30,21 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path):
         write_csv(fast, header, cols)
         _write_csv_per_value(ref, header, cols)
         assert fast.read_bytes() == ref.read_bytes()
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    payload = {
+        "zeta": [np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1],
+        "alpha": {"b": {"z": 1, "a": [True, None, "s"]}, "a": []},
+        "Mid": np.float64(2.5),
+        "n": 3,
+        "empty": {},
+        "text": "\u00e9\n\"",
+    }
+    got, ref = tmp_path / "got.json", tmp_path / "ref.json"
+    write_json(got, payload)
+    with open(ref, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=True)
+        fh.write("\n")
+    assert got.read_bytes() == ref.read_bytes()
+    assert b"NaN" in got.read_bytes() and b"-Infinity" in got.read_bytes()
