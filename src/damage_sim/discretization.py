@@ -155,14 +155,18 @@ class Operators:
     def laplacian_h(self, z) -> np.ndarray:
         return -banded_matvec(self.S, z) / self.w
 
-    def h2_norm(self, z) -> float:
-        lap = self.laplacian_h(z)
+    def h2_norm(self, z, lap=None) -> float:
+        """H2 norm of z; lap, if given, is laplacian_h(z)."""
+        if lap is None:
+            lap = self.laplacian_h(z)
         return float(np.sqrt(self.l2_norm(z) ** 2 + self.h1_semi(z) ** 2
                              + np.dot(self.w, lap * lap)))
 
-    def h3_norm(self, z) -> float:
+    def h2_h3_norms(self, z) -> tuple:
+        """(H2 norm, H3 norm) of z from one discrete Laplacian."""
         lap = self.laplacian_h(z)
-        return float(np.sqrt(self.h2_norm(z) ** 2 + self.h1_semi(lap) ** 2))
+        h2 = self.h2_norm(z, lap)
+        return h2, float(np.sqrt(h2 ** 2 + self.h1_semi(lap) ** 2))
 
     def strain(self, u) -> np.ndarray:
         """Elementwise strain of a P1 field ((..., N-1) array)."""

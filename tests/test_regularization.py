@@ -393,6 +393,20 @@ def test_potential_on_grid_matches_per_interval_oracle(name, params, delta,
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "make_potential('logarithmic') clips W and W' at eps_dom = 1e-9; where "
+    "the prox lands in the clip (x < -0.0207 and x > 1.0207 at delta = 1e-3) "
+    "the envelope form of potential_on_grid is not the integral of "
+    "beta_delta: potential_on_grid minus the oracle is a constant -2.07e-8 "
+    "at x = -0.4 and x = 1.3"))
+def test_logarithmic_potential_on_grid_matches_oracle_beyond_eps_dom():
+    reg = make_W_delta(make_potential("logarithmic", {"c1": 1.0}), 0.001)
+    xs = np.append(np.linspace(-0.5, 1.5, 301), [-0.4, 1.3])
+    got = reg.potential_on_grid(xs)
+    ref = potential_on_grid_per_interval(reg, xs)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("name,params", [("indicator_box", {}),
                                          ("quadratic", {}),
                                          ("logarithmic", {"c1": 1.0})])

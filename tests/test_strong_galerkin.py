@@ -506,26 +506,40 @@ def test_strong_demo_fine_mesh_completes():
 
 
 def test_h2_norm_is_called_only_when_recording(monkeypatch):
-    # H2 norms feed the blow-up monitor at each recorded snapshot (and, via
-    # h3_norm, run_strong's initial H3 norm); the stage iterations and the
-    # coherence solves compute none
+    # H2 norms feed the blow-up monitor at each recorded snapshot (the H3
+    # norm of v, from the same Laplacian, feeds its time integral); the
+    # stage iterations and the coherence solves compute none
     real = Operators.h2_norm
     callers = []
 
-    def spy(self, z):
+    def spy(self, z, lap=None):
         frame = sys._getframe(1)
         while frame.f_code.co_filename == real.__code__.co_filename:
-            frame = frame.f_back        # h3_norm calls h2_norm
+            frame = frame.f_back        # h2_h3_norms calls h2_norm
         callers.append((frame.f_code.co_filename, frame.f_code.co_name))
-        return real(self, z)
+        return real(self, z, lap)
 
     monkeypatch.setattr(Operators, "h2_norm", spy)
     traj, _ = run_strong(_strong_demo([("strong.steps = 100",
                                         "strong.steps = 10")]))
     assert len(traj.step_reports) == 10
-    assert callers.count((sg.__file__, "run_strong")) == 1
-    assert set(callers) == {(sg.__file__, "record"),
-                            (sg.__file__, "run_strong")}
+    assert set(callers) == {(sg.__file__, "record")}
+
+
+def test_each_record_forms_two_laplacians(monkeypatch):
+    # 11 records of a 10-step run: the H2 norms of v and chi, each from one
+    # discrete Laplacian, with the H3 norm of v reusing the Laplacian of v
+    counts = {"h2_norm": 0, "laplacian_h": 0}
+    for name in counts:
+        def spy(self, *args, _real=getattr(Operators, name), _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Operators, name, spy)
+    traj, monitor = run_strong(_strong_demo([("strong.steps = 100",
+                                              "strong.steps = 10")]))
+    assert len(traj) == len(monitor.times) == 11
+    assert counts == {"h2_norm": 22, "laplacian_h": 22}
 
 
 def test_predictor_start_iteration_counts(tmp_path):
