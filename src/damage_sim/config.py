@@ -17,6 +17,13 @@ strings, or comma lists of numbers.  Example::
     forcing.kind = "sin_t"
     forcing.amplitude = 0.5
 
+Time presets, for ``forcing.kind`` and ``boundary.kind``: ``zero``;
+``constant`` (``amplitude``); ``sin_t``, amplitude * sin(2 pi freq t)
+(``amplitude``, ``freq``, both default 1); ``linear_t``, slope * t
+(``slope``, default 1); ``table`` (``times``, ``values``, linear in t).
+Each builds a time factor of ``forcing`` whose interval means are exact
+and in closed form, so no preset needs quadrature.
+
 Unknown keys are rejected with their full path.
 """
 
@@ -30,9 +37,10 @@ import numpy as np
 
 from .forcing import (
     BoundaryForcing,
-    CallableFactor,
     ConstantFactor,
     Forcing,
+    LinearFactor,
+    SineFactor,
     TableFactor,
 )
 from .model import (
@@ -147,10 +155,10 @@ def _time_factor(kind: str, opts: dict):
     if kind == "sin_t":
         amp = float(opts.pop("amplitude", 1.0))
         freq = float(opts.pop("freq", 1.0))
-        return CallableFactor(lambda t, a=amp, f=freq: a * math.sin(2.0 * math.pi * f * t))
+        return SineFactor(amp, freq)
     if kind == "linear_t":
         slope = float(opts.pop("slope", 1.0))
-        return CallableFactor(lambda t, s=slope: s * t)
+        return LinearFactor(slope)
     if kind == "table":
         times = opts.pop("times")
         values = opts.pop("values")

@@ -2,22 +2,26 @@
 
 A forcing is separable, f(x, t) = profile(x) * factor(t); boundary forcing
 g(t) = weights * factor(t) carries one value per end point (x = 0, x = L).
-Time factors come as analytic callables (integrated adaptively) or as
-sampled tables with linear interpolation in t, whose interval means are
-exact.  ``SampledForcing`` keeps a run's samples in that form, O(K + N).
+The preset time factors (constant, sine, linear, and sampled tables with
+linear interpolation in t) have exact interval means in closed form; only a
+user-supplied ``CallableFactor`` is integrated adaptively, with scipy's
+``quad`` imported on its first mean.  ``SampledForcing`` keeps a run's
+samples in that form, O(K + N).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "TimeFactor",
     "ConstantFactor",
+    "SineFactor",
+    "LinearFactor",
     "CallableFactor",
     "TableFactor",
     "Forcing",
@@ -48,7 +52,48 @@ class ConstantFactor(TimeFactor):
 
 
 @dataclass(frozen=True)
+class SineFactor(TimeFactor):
+    """amplitude * sin(2 pi freq t)."""
+
+    amplitude: float = 1.0
+    freq: float = 1.0
+
+    def at(self, t):
+        return self.amplitude * math.sin(2.0 * math.pi * self.freq * t)
+
+    def mean(self, t0, t1):
+        """a sin(w (t0 + t1)/2) sin(h)/h, h = w (t1 - t0)/2, w = 2 pi freq:
+        the product form of the difference of cosines, free of
+        cancellation; 0 for h = 0."""
+        if t1 <= t0:
+            raise ValueError("empty interval")
+        w = 2.0 * math.pi * self.freq
+        h = 0.5 * w * (t1 - t0)
+        if h == 0.0:
+            return 0.0
+        return self.amplitude * math.sin(0.5 * w * (t0 + t1)) * math.sin(h) / h
+
+
+@dataclass(frozen=True)
+class LinearFactor(TimeFactor):
+    """slope * t."""
+
+    slope: float = 1.0
+
+    def at(self, t):
+        return self.slope * t
+
+    def mean(self, t0, t1):
+        if t1 <= t0:
+            raise ValueError("empty interval")
+        return self.slope * 0.5 * (t0 + t1)
+
+
+@dataclass(frozen=True)
 class CallableFactor(TimeFactor):
+    """A user-supplied callable, its interval means taken by adaptive
+    quadrature."""
+
     fn: Callable
 
     def at(self, t):
@@ -57,6 +102,8 @@ class CallableFactor(TimeFactor):
     def mean(self, t0, t1):
         if t1 <= t0:
             raise ValueError("empty interval")
+        from scipy.integrate import quad
+
         val, _ = quad(self.fn, t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
         return val / (t1 - t0)
 

@@ -43,18 +43,20 @@ value at the anchor.  The envelope is quadratic for affine Yosida functions,
 piecewise quadratic for piecewise-affine ones (closed form with the third
 moment H(w) = int_{-1}^w z^2 rho(z) dz), and goes through the same
 Gauss-Legendre broadcast, with rho alone, for the smooth graphs.
+
+scipy's quadrature, spline and special-function modules are imported where
+they are used: by the standard mollifier and by the Gauss-Legendre table,
+each built once on first use, so importing this module (as the weak stepper
+does, for ``yosida_eval``) loads none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 __all__ = [
     "MonotoneGraph",
@@ -74,10 +76,17 @@ __all__ = [
     "make_I_delta",
 ]
 
-_GL64 = roots_legendre(64)
 # Points per broadcast of the quadrature path, which expands each point into
 # 64 nodes per support segment: bounds the size of the temporaries.
 _QUADRATURE_BLOCK = 256
+
+
+@cache
+def _gauss_legendre_64():
+    """Nodes and weights of 64-point Gauss-Legendre on [-1, 1], built once."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(64)
 
 
 class ProxError(RuntimeError):
@@ -356,6 +365,9 @@ class Mollifier:
 
 
 def _build_standard_mollifier() -> Mollifier:
+    from scipy.integrate import cumulative_simpson, quad
+    from scipy.interpolate import CubicSpline
+
     mass, _ = quad(_bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)
     c = 1.0 / mass
 
@@ -498,7 +510,7 @@ class RegularizedFunction:
         outside the support clips to -1 or 1 and gives a zero-length segment,
         which adds exactly 0.
         """
-        nodes, weights = _GL64
+        nodes, weights = _gauss_legendre_64()
         rad = self.delta * self.delta
         kinks = np.asarray(self.graph.kinks, dtype=float)
         flat = xs.ravel()

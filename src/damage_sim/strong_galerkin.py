@@ -246,45 +246,60 @@ def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
 
     Damped Newton on the lumped FEM system; monotonicity of the regularized
     derivative makes the Jacobian S + W_L diag(1 + W'') SPD, so the iteration
-    is globally convergent with backtracking.  Returns (chi, info) where info
-    reports the Newton steps taken ("iterations", 0 for a start that already
-    converged) and the final residual ("residual"); the measured stability
-    ratio of the answer is ``stability_ratio(sops, chi, omega)``.
+    is globally convergent with backtracking.  Where the residual stalls
+    above ``tol_ell (1 + max|omega|)`` (backtracking exhausted, or
+    ``max_iter`` steps taken) the iterate is accepted if its residual is
+    below the round-off of its own terms, 4 eps |S||chi| + w (|W'(chi)| +
+    |chi| + |omega|) in the same norm; otherwise the solve fails.  Returns
+    (chi, info) where info reports the Newton steps taken ("iterations", 0
+    for a start that already converged) and the final residual
+    ("residual"); the measured stability ratio of the answer is
+    ``stability_ratio(sops, chi, omega)``.
     """
     ops = sops.ops
     chi = (omega.copy() if chi_init is None else chi_init.copy())
 
     def residual(c):
-        """Residual at c, with W''(c) from the same evaluation."""
+        """Residual at c, with W'(c) and W''(c) from the same evaluation."""
         wv, wd, _ = sops.reg_W.eval_all(c)
-        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wd
+        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wv, wd
 
     def res_norm(r):
         return float(np.sqrt(np.dot(ops.w, (r / ops.w) ** 2)))
 
-    r, wd = residual(chi)
-    rn = res_norm(r)
-    scale = 1.0 + float(np.max(np.abs(omega)))
-    for it in range(1, max_iter + 1):
-        if rn <= tol_ell * scale:
-            break
+    def damped_step():
+        """The backtracked Newton candidate from chi, or None."""
         J = ops.S.copy()
         J[1] += ops.w * (1.0 + wd)
         step = solve_spd_tridiag(J, -r)
         lam = 1.0
         for _ in range(40):
             cand = chi + lam * step
-            rc, wdc = residual(cand)
+            rc, wvc, wdc = residual(cand)
             rcn = res_norm(rc)
-            if rcn <= (1.0 - 0.25 * lam) * rn or rcn <= tol_ell * scale:
-                chi, r, rn, wd = cand, rc, rcn, wdc
-                break
+            if rcn <= (1.0 - 0.25 * lam) * rn or rcn <= tol:
+                return cand, rc, rcn, wvc, wdc
             lam *= 0.5
-        else:
-            raise StageError("chi_from_omega Newton damping exhausted")
-    else:
-        raise StageError(f"chi_from_omega did not converge: residual {rn:.3e}")
-    return chi, {"iterations": it - 1, "residual": rn}
+        return None
+
+    r, wv, wd = residual(chi)
+    rn = res_norm(r)
+    tol = tol_ell * (1.0 + float(np.max(np.abs(omega))))
+    for it in range(max_iter + 1):
+        if rn <= tol:
+            break
+        accepted = damped_step() if it < max_iter else None
+        if accepted is None:
+            floor = 4.0 * np.finfo(float).eps * res_norm(
+                banded_matvec(np.abs(ops.S), np.abs(chi))
+                + ops.w * (np.abs(wv) + np.abs(chi) + np.abs(omega)))
+            if rn <= floor:
+                break
+            raise StageError(
+                f"chi_from_omega stalled after {it} Newton steps: residual "
+                f"{rn:.3e} above tolerance {tol:.3e} and round-off {floor:.3e}")
+        chi, r, rn, wv, wd = accepted
+    return chi, {"iterations": it, "residual": rn}
 
 
 def stability_ratio(sops: StrongOperators, chi: np.ndarray,

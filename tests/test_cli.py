@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import damage_sim
 from damage_sim.cli import main, run_scenario
 from damage_sim.config import ConfigError, build_scenario, parse_config_text
 
@@ -129,6 +132,59 @@ def test_weak_mode_outputs_and_manifest(tmp_path):
     assert np.array_equal(snap["chi"], np.full(21, 0.8))
     report = json.loads((out / "report.json").read_text())
     assert report["schema_version"] == 1
+
+
+# scipy's quadrature and spline stack and what it pulls in
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+         "scipy.optimize")
+
+
+def _fresh_run(tmp_path, script):
+    """Run ``script`` in a fresh interpreter that imports this damage_sim;
+    returns the JSON of its last output line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(damage_sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_weak_run_imports_no_scipy_quadrature_or_splines(tmp_path):
+    # preset time factors have closed-form means, so a weak run needs only
+    # numpy and scipy.linalg
+    cfg = write_cfg(tmp_path, ZERO_DATA + 'forcing.kind = "sin_t"\n'
+                    'forcing.amplitude = 0.5\nforcing.freq = 3.0\n')
+    status, loaded = _fresh_run(tmp_path, f"""
+import json, sys
+from damage_sim.cli import run_scenario
+status = run_scenario({cfg!r}, "weak", "out")
+print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
+""")
+    assert status == 0
+    assert loaded == []
+
+
+def test_strong_run_imports_scipy_quadrature_at_first_regularize(tmp_path):
+    cfg = write_cfg(tmp_path, STRONG_SMALL)
+    status, seen = _fresh_run(tmp_path, f"""
+import json, sys
+from damage_sim import regularization
+from damage_sim.cli import run_scenario
+real, seen = regularization.regularize, []
+
+def spy(*args, **kw):
+    seen.append([m for m in {HEAVY!r} if m in sys.modules])
+    return real(*args, **kw)
+
+regularization.regularize = spy
+status = run_scenario({cfg!r}, "strong", "out")
+print(json.dumps([status, seen + [[m for m in {HEAVY!r} if m in sys.modules]]]))
+""")
+    assert status == 0
+    assert len(seen) >= 3
+    assert seen[0] == []
+    assert all(loaded == list(HEAVY) for loaded in seen[1:])
 
 
 def test_strong_mode_outputs(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from damage_sim.config import build_scenario, parse_config_text
 from damage_sim.discretization import (
     assemble_operators,
     banded_quadform,
@@ -16,6 +17,8 @@ from damage_sim.forcing import (
     CallableFactor,
     ConstantFactor,
     Forcing,
+    LinearFactor,
+    SineFactor,
     TableFactor,
     local_time_means,
     point_values,
@@ -105,6 +108,75 @@ def test_sampled_rows_are_profile_times_factor_bitwise(factor):
         assert np.array_equal(F[j], f.at(t, x)) and np.array_equal(f_row, F[j])
         assert np.array_equal(G[j], weights * factor.at(t))
         assert np.array_equal(g_row, G[j])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("tau", [1e-6, 1.0 / 400, 0.25])
+@pytest.mark.parametrize("freq", [0.0, 0.5, 1.0, 3.0])
+def test_sine_factor_means_against_quadrature_oracle(tau, freq):
+    # the oracle integrates the factor's own point values to round-off (quad
+    # warns that it cannot go below it).  Both forms round the phase
+    # 2 pi freq t by up to one unit in its last place, hence the eps |omega| t1
+    # term: the two differ by up to 1.3e-14 |a| at freq 3 and t near 9
+    amp = -1.7
+    factor = SineFactor(amp, freq)
+    omega = 2.0 * math.pi * freq
+    for t0 in np.linspace(0.0, 10.0 - tau, 23):
+        t1 = t0 + tau
+        ref, _ = quad(factor.at, t0, t1, epsabs=0.0, epsrel=1e-13)
+        bound = (4e-15 + np.finfo(float).eps * omega * t1) * abs(amp)
+        assert abs(factor.mean(t0, t1) - ref / (t1 - t0)) <= bound
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("tau", [1e-6, 1.0 / 400, 0.25])
+def test_linear_factor_means_against_quadrature_oracle(tau):
+    factor = LinearFactor(-0.6)
+    for t0 in np.linspace(0.0, 10.0 - tau, 23):
+        t1 = t0 + tau
+        ref, _ = quad(factor.at, t0, t1, epsabs=0.0, epsrel=1e-13)
+        assert abs(factor.mean(t0, t1) - ref / (t1 - t0)) <= 4e-15 * 0.6 * t1
+
+
+def test_preset_factors_match_the_old_callables_bitwise():
+    # point values keep the expressions of the lambdas they replace
+    ts = np.concatenate([np.linspace(0.0, 10.0, 1001), [1e-9, 0.1, 1.0 / 3]])
+    for amp, freq in [(0.5, 1.0), (-1.7, 3.0), (2.0, 0.5), (1.0, 0.0)]:
+        old = lambda t, a=amp, f=freq: a * math.sin(2.0 * math.pi * f * t)
+        assert all(SineFactor(amp, freq).at(t) == old(t) for t in ts)
+    assert all(LinearFactor(-0.6).at(t) == -0.6 * t for t in ts)
+
+
+@pytest.mark.parametrize("factor", [SineFactor(0.5, 3.0), LinearFactor(2.0)])
+def test_preset_factor_means_reject_empty_intervals(factor):
+    for t0, t1 in [(0.5, 0.5), (0.5, 0.25)]:
+        with pytest.raises(ValueError, match="empty interval"):
+            factor.mean(t0, t1)
+
+
+def test_time_presets_build_closed_form_factors():
+    text = """
+mesh.N = 11
+time.T = 1.0
+time.K = 10
+material.a = "quadratic_plus"
+potential.name = "quadratic"
+initial.chi0 = "constant"
+initial.chi0_value = 0.9
+forcing.kind = "sin_t"
+forcing.amplitude = 0.5
+forcing.freq = 3.0
+boundary.kind = "linear_t"
+boundary.slope = -2.0
+"""
+    cfg = build_scenario(parse_config_text(text))
+    assert cfg.forcing.factor == SineFactor(0.5, 3.0)
+    assert cfg.boundary.factor == LinearFactor(-2.0)
+    defaults = build_scenario(parse_config_text(
+        text.replace("forcing.amplitude = 0.5\nforcing.freq = 3.0\n", "")
+        .replace("boundary.slope = -2.0\n", "")))
+    assert defaults.forcing.factor == SineFactor(1.0, 1.0)
+    assert defaults.boundary.factor == LinearFactor(1.0)
 
 
 def test_table_factor_means_are_exact():
