@@ -32,7 +32,7 @@ from .regularization import (
     standard_mollifier,
     yosida_eval,
 )
-from .strong_galerkin import BlowupMonitor, RegParams, SpectralState, run_strong
+from .strong_galerkin import BlowupMonitor, SpectralState, run_strong
 from .trajectory import Snapshot, StepReport, Trajectory
 from .weak_stepper import (
     DamageSubproblem,

@@ -12,13 +12,14 @@ import concurrent.futures
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, config_digest, load_scenario
 from .discretization import build_mesh, neumann_eigenbasis
-from .model import ScenarioConfig, StrongSettings, validate_material
+from .model import ScenarioConfig, validate_material
 from .regularization import (
     graph_indicator_box,
     graph_indicator_halfline,
@@ -82,7 +83,7 @@ def _manifest(outdir, files, digest, mode, status, extra=None):
     write_json(os.path.join(outdir, "manifest.json"), payload)
 
 
-def _run_weak_mode(config, flat, outdir):
+def _run_weak_mode(config, outdir):
     traj = run_weak(config)
     edi = diag.discrete_edi_check(traj)
     files, uedi = export_report(traj, outdir, edi)
@@ -102,7 +103,7 @@ def _run_weak_mode(config, flat, outdir):
     return files, status, {"steps": len(traj) - 1}
 
 
-def _run_strong_mode(config, flat, outdir):
+def _run_strong_mode(config, outdir):
     traj, monitor = run_strong(config)
     files, uedi = export_report(traj, outdir)
     balance = diag.strong_energy_balance_residual(traj)
@@ -123,33 +124,20 @@ def _run_strong_mode(config, flat, outdir):
     return files, 0, {"steps": len(traj) - 1}
 
 
-def _refined(config: ScenarioConfig, flat) -> ScenarioConfig:
-    rs = int(flat.get("compare.refine_space", 4))
-    rt = int(flat.get("compare.refine_time", 4))
-    strong = StrongSettings(
-        n_modes=int(flat.get("compare.n_modes", config.strong.n_modes)),
-        delta=float(flat.get("compare.delta", config.strong.delta)),
-        nu=float(flat.get("compare.nu", config.strong.nu)),
-        steps=config.K * rt,
-        varpi0=config.strong.varpi0,
-        psi_max=config.strong.psi_max,
-        startup_steps=config.strong.startup_steps,
-    )
-    return ScenarioConfig(
-        N=(config.N - 1) * rs + 1, L=config.L, T=config.T, K=config.K,
-        material=config.material, potential=config.potential,
-        u0=config.u0, v0=config.v0, chi0=config.chi0,
-        forcing=config.forcing, boundary=config.boundary, mode="strong",
-        tolerances=config.tolerances, strong=strong,
-        output_stride=rt, seed=config.seed, label=config.label + "_surrogate")
+def _refined(config: ScenarioConfig) -> ScenarioConfig:
+    """The compare run's strong surrogate: the weak scenario with the
+    ``strong`` settings on a mesh and step refined by the ``compare`` ones,
+    recorded at the weak run's times."""
+    rs, rt = config.compare.refine_space, config.compare.refine_time
+    return replace(config, N=(config.N - 1) * rs + 1, mode="strong",
+                   strong=replace(config.strong, steps=config.K * rt),
+                   output_stride=rt, label=config.label + "_surrogate")
 
 
-def _run_compare_mode(config, flat, outdir):
+def _run_compare_mode(config, outdir):
     weak_traj = run_weak(config)
-    surrogate = _refined(config, flat)
-    strong_traj, _ = run_strong(surrogate)
-    c_rei = float(flat.get("compare.c_rei", 1.0))
-    rep = diag.rei_check(weak_traj, strong_traj, c_rei=c_rei)
+    strong_traj, _ = run_strong(_refined(config))
+    rep = diag.rei_check(weak_traj, strong_traj, c_rei=config.compare.c_rei)
     # the surrogate's solver reports, never its snapshots
     write_json(os.path.join(outdir, "surrogate_run_report.json"),
                strong_traj.run_report())
@@ -175,7 +163,7 @@ def _run_compare_mode(config, flat, outdir):
     return files, 0 if rep.passed else 2, {"sup_R": rep.sup_R}
 
 
-def _run_validate_mode(config, flat, outdir):
+def _run_validate_mode(config, outdir):
     report = validate_material(config.material)
     mesh = build_mesh(config.N, config.L)
     try:
@@ -196,9 +184,9 @@ def _run_validate_mode(config, flat, outdir):
     return ["validation.json"], status, {}
 
 
-def _run_eigs_mode(config, flat, outdir):
+def _run_eigs_mode(config, outdir):
     mesh = build_mesh(config.N, config.L)
-    n = int(flat.get("eigs.n_modes", config.strong.n_modes))
+    n = config.strong.n_modes
     basis = neumann_eigenbasis(mesh, config.material.V, n,
                                tol_eig=config.tolerances.eig)
     basis.to_csv(os.path.join(outdir, "eigenbasis.csv"))
@@ -207,38 +195,32 @@ def _run_eigs_mode(config, flat, outdir):
     return ["eigenbasis.csv", "eigenvalues.csv"], 0, {}
 
 
-def _run_regularize_demo(config, flat, outdir):
-    graph_name = str(flat.get("regularize.graph", "indicator_halfline"))
-    deltas = flat.get("regularize.deltas", [0.2, 0.1, 0.05])
-    if isinstance(deltas, (int, float)):
-        deltas = [float(deltas)]
-    lo = float(flat.get("regularize.grid_lo", -2.0))
-    hi = float(flat.get("regularize.grid_hi", 2.0))
-    npts = int(flat.get("regularize.grid_n", 401))
-    grid = np.linspace(lo, hi, npts)
+def _run_regularize_demo(config, outdir):
+    demo = config.regularize
+    grid = np.linspace(demo.grid_lo, demo.grid_hi, demo.grid_n)
     try:
-        graph = _DEMO_GRAPHS[graph_name]()
+        graph = _DEMO_GRAPHS[demo.graph]()
     except KeyError:
-        raise ConfigError(f"unknown demo graph {graph_name!r}") from None
+        raise ConfigError(f"unknown demo graph {demo.graph!r}") from None
     files = []
     checks = {}
     all_ok = True
-    for d in deltas:
-        reg = regularize(graph, float(d))
+    for d in demo.deltas:
+        reg = regularize(graph, d)
         v, d1, d2 = reg.eval_all(grid)
-        name = f"regularized_{graph_name}_delta_{d:g}.csv"
+        name = f"regularized_{demo.graph}_delta_{d:g}.csv"
         write_csv(os.path.join(outdir, name),
                   ["x", "value", "d1", "d2", "bound_d1", "bound_d2"],
                   [grid, v, d1, d2,
-                   np.full_like(grid, 1.0 / float(d)),
-                   np.full_like(grid, reg.mollifier.c_hat / float(d) ** 3)])
+                   np.full_like(grid, 1.0 / d),
+                   np.full_like(grid, reg.mollifier.c_hat / d ** 3)])
         files.append(name)
         rep = regularization_property_check(reg, grid)
         checks[f"delta_{d:g}"] = {"passed": rep.passed, "margins": rep.margins()}
         all_ok &= rep.passed
     write_json(os.path.join(outdir, "report.json"),
                {"schema_version": SCHEMA_VERSION, "mode": "regularize-demo",
-                "graph": graph_name, "checks": checks})
+                "graph": demo.graph, "checks": checks})
     files.append("report.json")
     return files, 0 if all_ok else 2, {}
 
@@ -257,19 +239,14 @@ def run_scenario(config_path: str, mode: str, outdir: str,
                  tol_overrides=None, seed=None) -> int:
     """Execute one scenario pipeline; returns the process exit status."""
     t0 = time.perf_counter()
-    config, flat = load_scenario(config_path)
-    if tol_overrides:
-        from dataclasses import replace
-        config.tolerances = replace(config.tolerances,
-                                    **{k: float(v) for k, v in tol_overrides})
-        flat = dict(flat, **{f"tol.{k}": float(v) for k, v in tol_overrides})
+    overrides = {f"tol.{k}": float(v) for k, v in tol_overrides or ()}
     if seed is not None:
-        config.seed = int(seed)
-        flat = dict(flat, seed=int(seed))
+        overrides["seed"] = int(seed)
+    config, flat = load_scenario(config_path, overrides)
     if mode in ("weak", "strong", "compare"):
         config.mode = mode
     os.makedirs(outdir, exist_ok=True)
-    files, status, extra = _RUNNERS[mode](config, flat, outdir)
+    files, status, extra = _RUNNERS[mode](config, outdir)
     extra = dict(extra or {}, seed=config.seed)
     _manifest(outdir, files, config_digest(flat), mode, status, extra)
     print(f"[damage-sim] {mode} finished in {time.perf_counter() - t0:.2f}s "
@@ -303,10 +280,7 @@ def main(argv=None) -> int:
             return _sweep(args.sweep_configs, args.out, overrides)
         if not args.config:
             parser.error("--config is required")
-        mode = args.mode
-        if mode is None:
-            _, flat = load_scenario(args.config)
-            mode = str(flat.get("mode", "weak"))
+        mode = args.mode or load_scenario(args.config)[0].mode
         return run_scenario(args.config, mode, args.out, overrides,
                             seed=args.seed)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
@@ -328,8 +302,7 @@ def _sweep(configs, outroot, overrides) -> int:
         for path in configs:
             name = os.path.splitext(os.path.basename(path))[0]
             outdir = os.path.join(outroot, name)
-            _, flat = load_scenario(path)
-            mode = str(flat.get("mode", "weak"))
+            mode = load_scenario(path)[0].mode
             futures[pool.submit(run_scenario, path, mode, outdir, overrides)] = path
         for fut in concurrent.futures.as_completed(futures):
             status = max(status, fut.result())

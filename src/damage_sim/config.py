@@ -17,6 +17,19 @@ strings, or comma lists of numbers.  Example::
     forcing.kind = "sin_t"
     forcing.amplitude = 0.5
 
+Sections: top-level ``label``, ``mode``, ``seed``, ``mesh.N``/``L``,
+``time.T``/``K``, ``output.stride``; ``potential`` (``name`` and the
+preset's parameters); ``material`` (the shapes ``a``, ``a_scale``, ``b``,
+``b_value``, ``b_floor_param``, ``b_scale``, and the numeric fields of
+``MaterialLaw`` but ``ell``, which is the potential's); ``initial``
+(``u0``, ``v0``, ``chi0``; absent ones take the ``ScenarioConfig``
+defaults, so ``chi0`` = 1, intact); ``forcing``/``boundary`` (``kind``,
+the time preset's keys, ``profile``/``weights``); and ``tol``, ``strong``,
+``compare``, ``regularize``, whose keys are the fields of ``Tolerances``,
+``StrongSettings``, ``CompareSettings`` and ``RegularizeDemoSettings``:
+a value takes the type of the field's default, and an absent key the
+default itself.
+
 Time presets, for ``forcing.kind`` and ``boundary.kind``: ``zero``;
 ``constant`` (``amplitude``); ``sin_t``, amplitude * sin(2 pi freq t)
 (``amplitude``, ``freq``, both default 1); ``linear_t``, slope * t
@@ -24,11 +37,12 @@ Time presets, for ``forcing.kind`` and ``boundary.kind``: ``zero``;
 Each builds a time factor of ``forcing`` whose interval means are exact
 and in closed form, so no preset needs quadrature.
 
-Unknown keys are rejected with their full path.
+Unknown keys are rejected with their section and name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,7 +58,9 @@ from .forcing import (
     TableFactor,
 )
 from .model import (
+    CompareSettings,
     MaterialLaw,
+    RegularizeDemoSettings,
     ScenarioConfig,
     StrongSettings,
     Tolerances,
@@ -167,7 +183,7 @@ def _time_factor(kind: str, opts: dict):
 
 
 def _initial_field(group: dict, name: str):
-    kind = group.pop(name, "zero")
+    kind = group.pop(name)
     if isinstance(kind, (int, float)):
         return float(kind)
     if kind == "zero":
@@ -175,6 +191,36 @@ def _initial_field(group: dict, name: str):
     if kind == "constant":
         return float(group.pop(f"{name}_value", 0.0))
     return _space_profile(kind, group, name)
+
+
+def _typed(value, default, key: str):
+    """``value`` as the type of a settings field's ``default``."""
+    if key == "strong.varpi0" and value == "slaved":
+        return value
+    try:
+        if default is None:             # strong.schedule_n: unset or a count
+            return int(value)
+        if isinstance(default, tuple):  # a number list
+            return tuple(float(v) for v in np.atleast_1d(value))
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key}: {value!r}") from None
+
+
+def _settings(cls, group: dict, section: str, **fixed):
+    """Build the settings dataclass ``cls`` from the keys of one section.
+
+    A key must name an init field of ``cls`` that is not in ``fixed``; its
+    value takes the type of the field's default, and an absent key takes
+    the default itself.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)
+              if f.init and f.name not in fixed}
+    unknown = sorted(set(group) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {unknown}")
+    return cls(**fixed, **{k: _typed(v, fields[k].default, f"{section}.{k}")
+                           for k, v in group.items()})
 
 
 def build_scenario(flat: dict) -> ScenarioConfig:
@@ -194,29 +240,16 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if b_name == "constant" and "b_value" in mat_group:
         b_params["value"] = float(mat_group.pop("b_value"))
     if b_name == "quadratic_floor":
-        b_params["floor"] = float(mat_group.pop("b_floor_param",
-                                                mat_group.get("b_floor", 1.0)))
+        b_params["floor"] = float(mat_group.pop(
+            "b_floor_param", mat_group.get("b_floor", MaterialLaw.b_floor)))
         b_params["scale"] = float(mat_group.pop("b_scale", 0.0))
-    material = MaterialLaw(
-        a=scalar_fn(a_name, **a_params),
-        b=scalar_fn(b_name, **b_params),
-        b_floor=float(mat_group.pop("b_floor", 1.0)),
-        C=float(mat_group.pop("C", 1.0)),
-        V=float(mat_group.pop("V", 1.0)),
-        ell=potential.ell,
-        growth_p=float(mat_group.pop("growth_p", 1.0)),
-        growth_q=float(mat_group.pop("growth_q", 1.0)),
-        gamma0=float(mat_group.pop("gamma0", 1.0)),
-        gamma1=float(mat_group.pop("gamma1", 0.0)),
-        gamma2=float(mat_group.pop("gamma2", 0.0)),
-    )
-    if mat_group:
-        raise ConfigError(f"unknown material keys: {sorted(mat_group)}")
+    material = _settings(MaterialLaw, mat_group, "material",
+                         a=scalar_fn(a_name, **a_params),
+                         b=scalar_fn(b_name, **b_params), ell=potential.ell)
 
     init_group = f.group("initial")
-    u0 = _initial_field(init_group, "u0")
-    v0 = _initial_field(init_group, "v0")
-    chi0 = _initial_field(init_group, "chi0")
+    initial = {name: _initial_field(init_group, name)
+               for name in ("u0", "v0", "chi0") if name in init_group}
     if init_group:
         raise ConfigError(f"unknown initial keys: {sorted(init_group)}")
 
@@ -243,33 +276,6 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if bdry_group:
         raise ConfigError(f"unknown boundary keys: {sorted(bdry_group)}")
 
-    tol_group = f.group("tol")
-    tolerances = Tolerances(**{k: float(v) for k, v in tol_group.items()})
-
-    strong_group = f.group("strong")
-    varpi0 = strong_group.pop("varpi0", 0.0)
-    if varpi0 != "slaved":
-        varpi0 = float(varpi0)
-    strong = StrongSettings(
-        n_modes=int(strong_group.pop("n_modes", 12)),
-        delta=float(strong_group.pop("delta", 0.125)),
-        nu=float(strong_group.pop("nu", 2.0 ** -12)),
-        steps=int(strong_group.pop("steps", 200)),
-        schedule_n=(int(strong_group["schedule_n"])
-                    if "schedule_n" in strong_group else None),
-        varpi0=varpi0,
-        psi_max=float(strong_group.pop("psi_max", 1e6)),
-        startup_steps=int(strong_group.pop("startup_steps", 2)),
-    )
-    strong_group.pop("schedule_n", None)
-    if strong_group:
-        raise ConfigError(f"unknown strong keys: {sorted(strong_group)}")
-
-    # consumed by the CLI pipelines for the corresponding modes
-    f.group("compare")
-    f.group("eigs")
-    f.group("regularize")
-
     config = ScenarioConfig(
         N=int(f.get("mesh.N", 201)),
         L=float(f.get("mesh.L", 1.0)),
@@ -277,11 +283,14 @@ def build_scenario(flat: dict) -> ScenarioConfig:
         K=int(f.get("time.K", 400)),
         material=material,
         potential=potential,
-        u0=u0, v0=v0, chi0=chi0,
+        **initial,
         forcing=forcing, boundary=boundary,
         mode=str(f.get("mode", "weak")),
-        tolerances=tolerances,
-        strong=strong,
+        tolerances=_settings(Tolerances, f.group("tol"), "tol"),
+        strong=_settings(StrongSettings, f.group("strong"), "strong"),
+        compare=_settings(CompareSettings, f.group("compare"), "compare"),
+        regularize=_settings(RegularizeDemoSettings, f.group("regularize"),
+                             "regularize"),
         output_stride=int(f.get("output.stride", 1)),
         seed=int(f.get("seed", 0)),
         label=str(f.get("label", "")),
@@ -292,10 +301,13 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     return config
 
 
-def load_scenario(path: str):
+def load_scenario(path: str, overrides=None):
+    """Parse and build the scenario file at ``path``; ``overrides`` maps
+    dotted keys to values that replace or add to the file's.  Returns
+    (ScenarioConfig, flat dict)."""
     with open(path) as fh:
         text = fh.read()
-    flat = parse_config_text(text)
+    flat = {**parse_config_text(text), **(overrides or {})}
     return build_scenario(flat), flat
 
 

@@ -238,11 +238,9 @@ class EigenBasis:
         return self.vectors @ np.asarray(coeffs, dtype=float)
 
     def to_csv(self, path) -> None:
-        header = ",".join(["x"] + [f"mode_{k}" for k in range(self.n + 1)])
-        data = np.column_stack([self.mesh.nodes, self.vectors])
-        rows = [",".join(f"{v:.17g}" for v in row) for row in data]
-        with open(path, "w") as fh:
-            fh.write(header + "\n" + "\n".join(rows) + "\n")
+        from .trajectory import write_csv   # trajectory imports this module
+        write_csv(path, ["x"] + [f"mode_{k}" for k in range(self.n + 1)],
+                  [self.mesh.nodes, *self.vectors.T])
 
 
 def neumann_eigenbasis(mesh: Mesh1D, V: float, n: int,

@@ -37,6 +37,8 @@ __all__ = [
     "validate_material",
     "Tolerances",
     "StrongSettings",
+    "CompareSettings",
+    "RegularizeDemoSettings",
     "ScenarioConfig",
 ]
 
@@ -361,7 +363,8 @@ def validate_material(law: MaterialLaw, grid=None,
 
     Pointwise conditions (monotonicity, vanishing on the negative axis,
     convexity via second differences, the b-floor) are certified on the grid
-    with a witness point on failure.  The polynomial growth conditions on
+    with a witness point on failure; C, V > 0 and gamma_i >= 0 need no
+    check, since ``MaterialLaw`` rejects the rest.  The growth conditions on
     a'' and b'' are reported through the fitted constants
     kappa = max |f''(r)| / (|r|^p + 1); they always pass unless the fit is
     non-finite.
@@ -381,11 +384,6 @@ def validate_material(law: MaterialLaw, grid=None,
         checks.append(CheckResult(name, ok, witness, fitted, detail))
 
     scale = float(np.max(np.abs(grid))) + 1.0
-
-    checks.append(CheckResult("positive_definite_C", law.C > 0, fitted=law.C))
-    checks.append(CheckResult("positive_definite_V", law.V > 0, fitted=law.V))
-    checks.append(CheckResult(
-        "gammas_nonnegative", min(law.gamma0, law.gamma1, law.gamma2) >= 0))
 
     av = law.a(grid)
     da = np.diff(av)
@@ -422,17 +420,14 @@ class Tolerances:
     inner: float = 1e-10       # damage-minimization KKT residual
     lin: float = 1e-12         # relative residual of momentum solves
     eig: float = 1e-9          # eigenpair residual (M^{-1} dual norm)
-    ell: float = 1e-10         # elliptic chi-from-omega residual
     ode: float = 1e-8          # strong-mode stage residual
-    vi: float = 1e-8           # one-sided variational inequality slack
     mono: float = 1e-10        # unidirectionality slack chi_t <= tol
-    reg: float = 1e-7          # regularization property-check padding
-    quad: float = 1e-12        # quadrature tolerance for diagnostics
 
 
 @dataclass(frozen=True)
 class StrongSettings:
-    """Parameters of the regularized spectral mode.
+    """Parameters of the regularized spectral mode, including the
+    regularization pair (delta, nu) with delta in (0, 1) and nu > 0.
 
     ``varpi0`` is the initial datum for omega_t: a constant, or the string
     "slaved" for the compatible value obtained by solving the quasi-static
@@ -449,12 +444,43 @@ class StrongSettings:
     psi_max: float = 1e6
     startup_steps: int = 2     # leading steps replaced by 2 backward-Euler halves
 
+    def __post_init__(self):
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.nu <= 0.0:
+            raise ValueError("nu must be positive")
+
     def resolved(self) -> "StrongSettings":
         if self.schedule_n is None:
             return self
         n = int(self.schedule_n)
         # nu_n^(1/2)/delta_n = 2^-n -> 0 along the schedule
         return replace(self, delta=2.0 ** -n, nu=2.0 ** (-4 * n), schedule_n=n)
+
+    @property
+    def scaling_ratio(self) -> float:
+        return math.sqrt(self.nu) / self.delta
+
+
+@dataclass(frozen=True)
+class CompareSettings:
+    """Refinement of the strong surrogate and the REI constant; the
+    surrogate's other settings are ``ScenarioConfig.strong``."""
+
+    refine_space: int = 4
+    refine_time: int = 4
+    c_rei: float = 1.0
+
+
+@dataclass(frozen=True)
+class RegularizeDemoSettings:
+    """One table per delta for a named graph on a uniform grid."""
+
+    graph: str = "indicator_halfline"
+    deltas: tuple = (0.2, 0.1, 0.05)
+    grid_lo: float = -2.0
+    grid_hi: float = 2.0
+    grid_n: int = 401
 
 
 def _as_nodal(data, nodes: np.ndarray) -> np.ndarray:
@@ -486,6 +512,9 @@ class ScenarioConfig:
     mode: str = "weak"
     tolerances: Tolerances = field(default_factory=Tolerances)
     strong: StrongSettings = field(default_factory=StrongSettings)
+    compare: CompareSettings = field(default_factory=CompareSettings)
+    regularize: RegularizeDemoSettings = field(
+        default_factory=RegularizeDemoSettings)
     output_stride: int = 1
     seed: int = 0
     label: str = ""

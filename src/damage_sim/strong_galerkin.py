@@ -36,6 +36,11 @@ the end of the step starts near its answer as well.
 The scheme conserves the mean-displacement identity exactly in the discrete
 sense (constant test function), tracked per step with scheme-consistent
 quadrature weights.
+
+The pair (delta, nu), the mode and step counts and the initial rate
+``varpi0`` are the scenario's ``StrongSettings``; with ``schedule_n = n``
+they resolve to delta = 2^-n, nu = 2^-4n.  The resolved settings are
+``StrongOperators.params`` and the trajectory's ``extras["params"]``.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from .regularization import RegularizedFunction, make_I_delta, make_W_delta
 from .trajectory import Snapshot, StepReport, Trajectory
 
 __all__ = [
-    "RegParams",
     "SpectralState",
     "BlowupMonitor",
     "StrongOperators",
@@ -77,31 +81,6 @@ __all__ = [
 
 class StageError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RegParams:
-    """Regularization pair (delta, nu) with the vanishing-scaling schedule."""
-
-    delta: float
-    nu: float
-    schedule_n: Optional[int] = None
-    varpi0: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
-
-    @classmethod
-    def from_schedule(cls, n: int, varpi0: float = 0.0) -> "RegParams":
-        s = StrongSettings(schedule_n=n).resolved()
-        return cls(delta=s.delta, nu=s.nu, schedule_n=n, varpi0=varpi0)
-
-    @property
-    def scaling_ratio(self) -> float:
-        return math.sqrt(self.nu) / self.delta
 
 
 @dataclass
@@ -186,7 +165,7 @@ class StrongOperators:
     potential: PotentialSplit
     reg_W: RegularizedFunction
     reg_I: RegularizedFunction
-    params: RegParams
+    params: StrongSettings      # resolved: (delta, nu) as run
     # nodal differences dY of the basis vectors, shared by modal_matrices
     dY: np.ndarray = field(init=False, repr=False)
     # (shape, bytes) of the last damping coefficient b(chi) and its Gram;
@@ -498,11 +477,8 @@ def run_strong(config: ScenarioConfig):
     ops = assemble_operators(mesh)
     config.validate(mesh.nodes, mode="strong")
 
-    settings = config.strong.resolved()
-    params = RegParams(delta=settings.delta, nu=settings.nu,
-                       schedule_n=settings.schedule_n,
-                       varpi0=settings.varpi0)
-    basis = neumann_eigenbasis(mesh, config.material.V, settings.n_modes,
+    params = config.strong.resolved()
+    basis = neumann_eigenbasis(mesh, config.material.V, params.n_modes,
                                ops=ops, tol_eig=config.tolerances.eig)
     reg_W = make_W_delta(config.potential, params.delta)
     reg_I = make_I_delta(params.delta)
@@ -514,10 +490,10 @@ def run_strong(config: ScenarioConfig):
     c0 = basis.project(ops, u0)
     cdot0 = basis.project(ops, v0)
     omega0 = sops.omega_of_chi(chi0)
-    if settings.varpi0 == "slaved":
+    if params.varpi0 == "slaved":
         omega_t0 = _slaved_omega_t(sops, chi0, basis.synthesize(c0), omega0)
     else:
-        omega_t0 = np.full(mesh.N, float(settings.varpi0))
+        omega_t0 = np.full(mesh.N, float(params.varpi0))
     chi_t0 = chi_rate_from_omega_rate(sops, chi0, omega_t0)
     state = SpectralState(t=0.0, c=c0, cdot=cdot0, omega=omega0,
                           omega_t=omega_t0, chi=chi0.copy(), chi_t=chi_t0)
@@ -527,7 +503,7 @@ def run_strong(config: ScenarioConfig):
     def forcing_modal(t):
         return basis.project(ops, forcing.at(t, mesh.nodes))
 
-    steps = settings.steps
+    steps = params.steps
     tau = config.T / steps
     traj = Trajectory(mode="strong", mesh=mesh, ops=ops,
                       material=config.material, potential=config.potential,
@@ -535,7 +511,7 @@ def run_strong(config: ScenarioConfig):
                       extras={"config": config, "params": params,
                               "reg_W": reg_W, "reg_I": reg_I, "basis": basis,
                               "mean_identity": []})
-    monitor = BlowupMonitor(psi_max=settings.psi_max)
+    monitor = BlowupMonitor(psi_max=params.psi_max)
 
     ones = np.ones(mesh.N)
     sqrtL = math.sqrt(banded_quadform(ops.M, ones))
@@ -577,7 +553,7 @@ def run_strong(config: ScenarioConfig):
 
     stride = max(1, int(config.output_stride))
     for k in range(1, steps + 1):
-        kind = "be" if k <= settings.startup_steps else "midpoint"
+        kind = "be" if k <= params.startup_steps else "midpoint"
         try:
             state, recs, counts = step_regularized(
                 sops, state, tau, forcing_modal,
@@ -592,7 +568,7 @@ def run_strong(config: ScenarioConfig):
         traj.step_reports.append(StepReport(step=k, **counts))
         if k % stride == 0 or k == steps:
             psi = record(state)
-            if psi > settings.psi_max:
+            if psi > params.psi_max:
                 monitor.horizon_time = state.t
                 break
     monitor.finalize_formula(config.material.growth_p, config.material.growth_q)

@@ -36,7 +36,7 @@ from damage_sim.regularization import (
     regularization_property_check,
     regularize,
 )
-from damage_sim.strong_galerkin import RegParams, run_strong
+from damage_sim.strong_galerkin import run_strong
 from damage_sim.weak_stepper import (
     assemble_damage_subproblem,
     damage_step,
@@ -312,7 +312,7 @@ def test_criterion_11_delta_nu_ladder():
     finals = []
     ops = None
     for n in (1, 2, 3):
-        p = RegParams.from_schedule(n)
+        p = StrongSettings(schedule_n=n).resolved()
         traj, _ = run_strong(_strong_cfg(
             strong=StrongSettings(n_modes=10, delta=p.delta, nu=p.nu,
                                   steps=100, varpi0="slaved")))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,10 +9,24 @@ import numpy as np
 import pytest
 
 import damage_sim
+import damage_sim.cli as cli
 from damage_sim.cli import main, run_scenario
-from damage_sim.config import ConfigError, build_scenario, parse_config_text
+from damage_sim.config import (
+    ConfigError,
+    build_scenario,
+    load_scenario,
+    parse_config_text,
+)
+from damage_sim.model import (
+    CompareSettings,
+    MaterialLaw,
+    RegularizeDemoSettings,
+    ScenarioConfig,
+    StrongSettings,
+    Tolerances,
+)
 
-from suite_configs import config_text, standard_suite
+from suite_configs import CONFIG_DIR, config_text, standard_suite
 
 ZERO_DATA = """
 label = "zero"
@@ -90,6 +105,149 @@ def test_suite_configs_build():
                           "strong_damage", "robin_loaded"}
     for cfg in suite.values():
         assert cfg.N == 201 and cfg.K == 400 and cfg.T == 1.0
+
+
+def test_every_pinned_config_builds():
+    paths = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        cfg, flat = load_scenario(str(path))
+        assert cfg.label == flat["label"] == path.stem
+
+
+# (section, ScenarioConfig attribute, settings class, fields set by other keys)
+SETTINGS = [
+    ("tol", "tolerances", Tolerances, ()),
+    ("strong", "strong", StrongSettings, ()),
+    ("compare", "compare", CompareSettings, ()),
+    ("regularize", "regularize", RegularizeDemoSettings, ()),
+    ("material", "material", MaterialLaw, ("a", "b", "ell")),
+]
+
+
+def _settable(cls, fixed):
+    return [f for f in dataclasses.fields(cls) if f.name not in fixed]
+
+
+def _other_value(default):
+    """A valid value of the same type as ``default`` that differs from it."""
+    if default is None:
+        return 3
+    if isinstance(default, str):
+        return "indicator_box"
+    if isinstance(default, tuple):
+        return (0.3, 0.15)
+    if isinstance(default, int):
+        return default + 1
+    return default / 2 + 0.25
+
+
+def test_settings_keys_reach_their_dataclass():
+    values, lines = {}, []
+    for section, _, cls, fixed in SETTINGS:
+        for f in _settable(cls, fixed):
+            value = _other_value(f.default)
+            values[section, f.name] = value
+            text = (f'"{value}"' if isinstance(value, str) else
+                    ", ".join(map(repr, value)) if isinstance(value, tuple)
+                    else repr(value))
+            lines.append(f"{section}.{f.name} = {text}\n")
+    cfg = build_scenario(parse_config_text(ZERO_DATA + "".join(lines)))
+    for section, attr, cls, fixed in SETTINGS:
+        for f in _settable(cls, fixed):
+            got = getattr(getattr(cfg, attr), f.name)
+            assert got == values[section, f.name], (section, f.name)
+            assert type(got) is type(values[section, f.name])
+    assert len(_settable(Tolerances, ())) == 5
+
+
+def test_omitted_settings_keys_take_the_dataclass_defaults():
+    cfg = build_scenario(parse_config_text(ZERO_DATA))
+    for _, attr, cls, fixed in SETTINGS:
+        for f in _settable(cls, fixed):
+            assert getattr(getattr(cfg, attr), f.name) == f.default, f.name
+    assert cfg.material.ell == cfg.potential.ell
+
+
+def test_omitted_initial_fields_take_the_scenario_defaults():
+    text = "\n".join(line for line in ZERO_DATA.splitlines()
+                     if not line.startswith("initial."))
+    cfg = build_scenario(parse_config_text(text))
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    assert (cfg.u0, cfg.v0, cfg.chi0) == (0.0, 0.0, 1.0)
+    assert all(getattr(cfg, k) == defaults[k] for k in ("u0", "v0", "chi0"))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("tol.bogus = 1e-3", "bogus"),
+    ("strong.n_mode = 3", "n_mode"),
+    ("material.gama0 = 1.0", "gama0"),
+    ("compare.refine_spce = 2", "refine_spce"),
+    ("regularize.delta = 0.1", "delta"),
+    ("initial.chi1 = 0.5", "chi1"),
+    ("forcing.amplitud = 1.0", "amplitud"),
+    ("boundary.weight = 1.0", "weight"),
+    ("potential.centre = 0.5", "centre"),
+    ("eigs.n_mode = 3", "eigs.n_mode"),
+])
+def test_unknown_key_in_each_section_exits_one(tmp_path, capsys, line, key):
+    cfg = write_cfg(tmp_path, ZERO_DATA + line + "\n")
+    assert main(["--config", cfg, "--mode", "weak",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "tol.vi = 1e-8", "tol.ell = 1e-10", "tol.reg = 1e-7", "tol.quad = 1e-12",
+    "compare.n_modes = 6", "compare.delta = 0.01", "compare.nu = 1e-8",
+    "eigs.n_modes = 3",
+])
+def test_removed_keys_rejected(line):
+    with pytest.raises(ConfigError, match=line.split(".")[1].split(" ")[0]):
+        build_scenario(parse_config_text(ZERO_DATA + line + "\n"))
+
+
+def test_bad_settings_value_is_a_config_error():
+    with pytest.raises(ConfigError, match="strong.psi_max"):
+        build_scenario(parse_config_text(ZERO_DATA + "strong.psi_max = 1, 2\n"))
+
+
+def test_cli_unknown_tol_override_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ZERO_DATA)
+    assert main(["--config", cfg, "--mode", "weak", "--out",
+                 str(tmp_path / "out"), "--tol-override", "bogus=1"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown tol keys: ['bogus']" in err and "Traceback" not in err
+
+
+def test_tol_override_and_seed_reach_config_and_digest(tmp_path, monkeypatch):
+    seen = []
+    real = cli.run_weak
+
+    def spy(config):
+        seen.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_weak", spy)
+    cfg = write_cfg(tmp_path, ZERO_DATA)
+    out = tmp_path / "out"
+    assert run_scenario(cfg, "weak", str(out), [("inner", "1e-8")],
+                        seed=7) == 0
+    assert seen[0].tolerances.inner == 1e-8 and seen[0].seed == 7
+    manifest = json.loads((out / "manifest.json").read_text())
+    _, flat = load_scenario(cfg, {"tol.inner": 1e-8, "seed": 7})
+    assert manifest["config_hash"] == cli.config_digest(flat)
+    assert manifest["seed"] == 7
+
+
+def test_invalid_material_exits_one_in_validate_mode(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ZERO_DATA + "material.C = -1\n")
+    assert main(["--config", cfg, "--mode", "validate",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "C and V must be positive" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +356,19 @@ def test_strong_mode_outputs(tmp_path):
     assert report["mean_identity_residual_max"] <= 1e-9
 
 
+COMPARE_SMALL = ZERO_DATA.replace('label = "zero"', 'label = "cmp"') + (
+    'initial.u0 = "cosine_mix"\n'
+    'initial.u0_coeffs = 0.0, 0.1\n'
+    'material.a = "cubic_plus"\n'
+    'potential.center = 0.0\n'
+    "compare.refine_space = 2\n"
+    "compare.refine_time = 2\n"
+    "strong.n_modes = 6\n")
+
+
 def test_compare_mode_produces_relative_csv(tmp_path):
-    text = ZERO_DATA.replace('label = "zero"', 'label = "cmp"') + (
-        'initial.u0 = "cosine_mix"\n'
-        'initial.u0_coeffs = 0.0, 0.1\n'
-        'material.a = "cubic_plus"\n'
-        'potential.center = 0.0\n'
-        "compare.refine_space = 2\n"
-        "compare.refine_time = 2\n"
-        "compare.n_modes = 6\n"
-        "compare.delta = 0.01\n"
-        "compare.nu = 1e-8\n")
-    cfg = write_cfg(tmp_path, text)
+    cfg = write_cfg(tmp_path, COMPARE_SMALL + "strong.delta = 0.01\n"
+                    "strong.nu = 1e-8\n")
     out = tmp_path / "out"
     status = run_scenario(cfg, "compare", str(out))
     assert status == 0
@@ -225,6 +384,23 @@ def test_compare_mode_produces_relative_csv(tmp_path):
     assert not list(out.glob("snap_*.csv"))
     manifest = json.loads((out / "manifest.json").read_text())
     assert "surrogate_run_report.json" in manifest["files"]
+
+
+def test_compare_surrogate_follows_strong_schedule(tmp_path, monkeypatch):
+    # the surrogate takes every strong setting, schedule_n included
+    params = []
+    real = cli.run_strong
+
+    def spy(config):
+        traj, monitor = real(config)
+        params.append(traj.extras["params"])
+        return traj, monitor
+
+    monkeypatch.setattr(cli, "run_strong", spy)
+    cfg = write_cfg(tmp_path, COMPARE_SMALL + "strong.schedule_n = 2\n")
+    assert run_scenario(cfg, "compare", str(tmp_path / "out")) in (0, 2)
+    assert [(p.delta, p.nu, p.n_modes, p.steps) for p in params] == [
+        (0.25, 2.0 ** -8, 6, 20)]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -243,7 +419,7 @@ def test_compare_demo_logarithmic_rei_feasible(tmp_path):
 
 
 def test_eigs_mode(tmp_path):
-    cfg = write_cfg(tmp_path, ZERO_DATA + "eigs.n_modes = 3\n")
+    cfg = write_cfg(tmp_path, ZERO_DATA + "strong.n_modes = 3\n")
     out = tmp_path / "out"
     assert run_scenario(cfg, "eigs", str(out)) == 0
     vals = np.genfromtxt(out / "eigenvalues.csv", delimiter=",", skip_header=1)
@@ -256,7 +432,7 @@ def test_eigs_mode(tmp_path):
 
 def test_eigs_mode_fine_mesh(tmp_path):
     cfg = write_cfg(tmp_path, ZERO_DATA.replace("mesh.N = 21", "mesh.N = 4097")
-                    + "eigs.n_modes = 3\n")
+                    + "strong.n_modes = 3\n")
     out = tmp_path / "out"
     assert run_scenario(cfg, "eigs", str(out)) == 0
     vals = np.genfromtxt(out / "eigenvalues.csv", delimiter=",", skip_header=1)

@@ -178,6 +178,11 @@ def test_eigenbasis_csv_export(tmp_path):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert data.shape[0] == 21
     assert set(data.dtype.names) == {"x", "mode_0", "mode_1", "mode_2"}
+    # the bytes of "%.17g" per value, as the snapshot files
+    rows = np.column_stack([mesh.nodes, basis.vectors])
+    expected = "x,mode_0,mode_1,mode_2\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

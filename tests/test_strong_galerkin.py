@@ -32,7 +32,6 @@ from damage_sim.regularization import (
 )
 import damage_sim.strong_galerkin as sg
 from damage_sim.strong_galerkin import (
-    RegParams,
     StageError,
     StrongOperators,
     chi_from_omega,
@@ -62,24 +61,25 @@ def make_sops(N=41, delta=0.1, nu=1e-4, n_modes=6, potential=None,
     return StrongOperators(
         ops=ops, basis=basis, material=mat, potential=pot,
         reg_W=make_W_delta(pot, delta), reg_I=make_I_delta(delta),
-        params=RegParams(delta=delta, nu=nu))
+        params=StrongSettings(delta=delta, nu=nu))
 
 
 # ---------------------------------------------------------------------------
-# RegParams schedule
+# Regularization pair and its schedule
 # ---------------------------------------------------------------------------
 
 def test_schedule_satisfies_vanishing_scaling():
-    ratios = [RegParams.from_schedule(n).scaling_ratio for n in range(1, 6)]
+    ratios = [StrongSettings(schedule_n=n).resolved().scaling_ratio
+              for n in range(1, 6)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] < ratios[0] / 10
 
 
-def test_regparams_validation():
+def test_strong_settings_validation():
     with pytest.raises(ValueError):
-        RegParams(delta=1.5, nu=1e-4)
+        StrongSettings(delta=1.5, nu=1e-4)
     with pytest.raises(ValueError):
-        RegParams(delta=0.5, nu=0.0)
+        StrongSettings(delta=0.5, nu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_strong_mode_gate_rejects_robin_data():
 def test_delta_ladder_final_states_cauchy():
     finals = []
     for n in (1, 2, 3):
-        p = RegParams.from_schedule(n)
+        p = StrongSettings(schedule_n=n).resolved()
         cfg = _strong_config(
             strong=StrongSettings(n_modes=6, delta=p.delta, nu=p.nu,
                                   steps=50, varpi0="slaved"))
@@ -365,7 +365,7 @@ def test_delta_ladder_final_states_cauchy():
 def test_nu_vanishing_monitor_decreases_along_schedule():
     vals = []
     for n in (1, 2, 3):
-        p = RegParams.from_schedule(n)
+        p = StrongSettings(schedule_n=n).resolved()
         cfg = _strong_config(
             strong=StrongSettings(n_modes=6, delta=p.delta, nu=p.nu,
                                   steps=50, varpi0="slaved"))
@@ -470,7 +470,7 @@ def test_chi_t_newton_stops_at_round_off(monkeypatch):
         return x, its
 
     monkeypatch.setattr(sg, "_chi_t_newton", counting)
-    p = RegParams.from_schedule(1)
+    p = StrongSettings(schedule_n=1).resolved()
     assert (p.delta, p.nu) == (0.5, 0.0625)
     run_strong(_strong_config(
         N=65, T=0.5, K=100,
@@ -564,8 +564,8 @@ def test_predictor_start_iteration_counts(tmp_path):
     assert run_scenario(str(CONFIG_DIR / "strong_demo.cfg"), "strong",
                         str(out)) == 0
     demo = json.loads((out / "run_report.json").read_text())["step_reports"]
-    cfg, flat = load_scenario(str(CONFIG_DIR / "compare_demo.cfg"))
-    surrogate, _ = run_strong(_refined(cfg, flat))
+    cfg, _ = load_scenario(str(CONFIG_DIR / "compare_demo.cfg"))
+    surrogate, _ = run_strong(_refined(cfg))
     compare = [r.to_dict() for r in surrogate.step_reports]
     for reports, bound in ((demo, 320), (compare, 880)):
         assert all(r["inner_iterations"] >= 1 and r["newton_iterations"] >= 1
