@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diagnostics as diag
-from .config import ConfigError, config_digest, load_scenario
+from .config import MODES, ConfigError, config_digest, load_scenario
 from .discretization import build_mesh, neumann_eigenbasis
 from .model import ScenarioConfig, validate_material
 from .regularization import (
@@ -30,8 +30,6 @@ from .regularization import (
 from .strong_galerkin import run_strong
 from .trajectory import SCHEMA_VERSION, write_csv, write_json
 from .weak_stepper import run_weak
-
-MODES = ("weak", "strong", "compare", "regularize-demo", "eigs", "validate")
 
 _DEMO_GRAPHS = {
     "indicator_halfline": graph_indicator_halfline,

@@ -17,18 +17,22 @@ strings, or comma lists of numbers.  Example::
     forcing.kind = "sin_t"
     forcing.amplitude = 0.5
 
-Sections: top-level ``label``, ``mode``, ``seed``, ``mesh.N``/``L``,
-``time.T``/``K``, ``output.stride``; ``potential`` (``name`` and the
-preset's parameters); ``material`` (the shapes ``a``, ``a_scale``, ``b``,
-``b_value``, ``b_floor_param``, ``b_scale``, and the numeric fields of
-``MaterialLaw`` but ``ell``, which is the potential's); ``initial``
-(``u0``, ``v0``, ``chi0``; absent ones take the ``ScenarioConfig``
-defaults, so ``chi0`` = 1, intact); ``forcing``/``boundary`` (``kind``,
-the time preset's keys, ``profile``/``weights``); and ``tol``, ``strong``,
+Sections: top-level ``label``, ``mode`` (one of ``MODES``), ``seed``,
+``mesh.N``/``L``, ``time.T``/``K`` and ``output.stride``, which set the
+``ScenarioConfig`` fields of those names (``output_stride`` for the last)
+and take their defaults there when absent; ``potential`` (``name`` and
+the preset's parameters, among them ``ell``); ``material`` (the shapes
+``a``, ``a_scale``, ``b``, ``b_value``, ``b_scale``, and the numeric
+fields of ``MaterialLaw``, whose ``b_floor`` is also the floor of the
+``quadratic_floor`` shape); ``initial`` (``u0``, ``v0``, ``chi0``; absent
+ones take the ``ScenarioConfig`` defaults, so ``chi0`` = 1, intact);
+``forcing``/``boundary`` (``kind``, the time preset's keys,
+``profile``/``weights``; an absent or ``zero`` kind builds
+``Forcing.zero()``/``BoundaryForcing.zero()``); and ``tol``, ``strong``,
 ``compare``, ``regularize``, whose keys are the fields of ``Tolerances``,
-``StrongSettings``, ``CompareSettings`` and ``RegularizeDemoSettings``:
-a value takes the type of the field's default, and an absent key the
-default itself.
+``StrongSettings``, ``CompareSettings`` and ``RegularizeDemoSettings``.
+Throughout, a value takes the type of the field's default (a count must be
+integral), and an absent key the default itself.
 
 Time presets, for ``forcing.kind`` and ``boundary.kind``: ``zero``;
 ``constant`` (``amplitude``); ``sin_t``, amplitude * sin(2 pi freq t)
@@ -69,11 +73,20 @@ from .model import (
 )
 
 __all__ = [
+    "MODES",
     "parse_config_text",
     "build_scenario",
     "load_scenario",
     "config_digest",
 ]
+
+
+MODES = ("weak", "strong", "compare", "regularize-demo", "eigs", "validate")
+
+# top-level key -> ScenarioConfig field
+_TOP_LEVEL = {"label": "label", "mode": "mode", "seed": "seed",
+              "mesh.N": "N", "mesh.L": "L", "time.T": "T", "time.K": "K",
+              "output.stride": "output_stride"}
 
 
 class ConfigError(ValueError):
@@ -194,16 +207,21 @@ def _initial_field(group: dict, name: str):
 
 
 def _typed(value, default, key: str):
-    """``value`` as the type of a settings field's ``default``."""
+    """``value`` as the type of a settings field's ``default``; a count
+    (an int field, or ``strong.schedule_n``, unset by default) must be
+    integral."""
     if key == "strong.varpi0" and value == "slaved":
         return value
     try:
-        if default is None:             # strong.schedule_n: unset or a count
-            return int(value)
         if isinstance(default, tuple):  # a number list
             return tuple(float(v) for v in np.atleast_1d(value))
+        if default is None or isinstance(default, int):
+            count = int(value)
+            if count != float(value):
+                raise ValueError
+            return count
         return type(default)(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad value for {key}: {value!r}") from None
 
 
@@ -240,12 +258,11 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if b_name == "constant" and "b_value" in mat_group:
         b_params["value"] = float(mat_group.pop("b_value"))
     if b_name == "quadratic_floor":
-        b_params["floor"] = float(mat_group.pop(
-            "b_floor_param", mat_group.get("b_floor", MaterialLaw.b_floor)))
+        b_params["floor"] = float(mat_group.get("b_floor", MaterialLaw.b_floor))
         b_params["scale"] = float(mat_group.pop("b_scale", 0.0))
     material = _settings(MaterialLaw, mat_group, "material",
                          a=scalar_fn(a_name, **a_params),
-                         b=scalar_fn(b_name, **b_params), ell=potential.ell)
+                         b=scalar_fn(b_name, **b_params))
 
     init_group = f.group("initial")
     initial = {name: _initial_field(init_group, name)
@@ -276,25 +293,23 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if bdry_group:
         raise ConfigError(f"unknown boundary keys: {sorted(bdry_group)}")
 
+    defaults = {fd.name: fd.default for fd in dataclasses.fields(ScenarioConfig)}
+    top = {name: _typed(f.get(key), defaults[name], key)
+           for key, name in _TOP_LEVEL.items() if key in flat}
     config = ScenarioConfig(
-        N=int(f.get("mesh.N", 201)),
-        L=float(f.get("mesh.L", 1.0)),
-        T=float(f.get("time.T", 1.0)),
-        K=int(f.get("time.K", 400)),
         material=material,
         potential=potential,
+        **top,
         **initial,
         forcing=forcing, boundary=boundary,
-        mode=str(f.get("mode", "weak")),
         tolerances=_settings(Tolerances, f.group("tol"), "tol"),
         strong=_settings(StrongSettings, f.group("strong"), "strong"),
         compare=_settings(CompareSettings, f.group("compare"), "compare"),
         regularize=_settings(RegularizeDemoSettings, f.group("regularize"),
                              "regularize"),
-        output_stride=int(f.get("output.stride", 1)),
-        seed=int(f.get("seed", 0)),
-        label=str(f.get("label", "")),
     )
+    if config.mode not in MODES:
+        raise ConfigError(f"unknown mode {config.mode!r}")
     unused = f.unused()
     if unused:
         raise ConfigError(f"unknown configuration keys: {unused}")

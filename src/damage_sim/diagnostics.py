@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .discretization import Operators, banded_matvec, banded_quadform
-from .forcing import BoundaryForcing, Forcing, SampledForcing, point_values
+from .forcing import SampledForcing, point_values
 from .model import MaterialLaw, PotentialSplit
 from .trajectory import Snapshot, Trajectory
 
@@ -198,7 +198,6 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
     """
     if traj.mode != "weak":
         raise ValueError("discrete EDI applies to weak-mode trajectories")
-    config = traj.extras.get("config")
     tau = traj.tau
 
     series = traj.extras.get("edi_series")
@@ -218,8 +217,7 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
         work = np.cumsum(work)
 
     if tol is None:
-        inner = config.tolerances.inner if config is not None else 1e-10
-        tol = inner * max(1, times.size - 1)
+        tol = traj.extras["config"].tolerances.inner * max(1, times.size - 1)
     Dcum = np.concatenate([[0.0], np.cumsum(tau * D[1:])])
     slack = (E[0] + work) - (E + Dcum)
     return EnergyReport(times=times, E=E, D_inst=D, D_cum=Dcum, work_cum=work,
@@ -235,13 +233,12 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     mean-vs-pointwise forcing gap.  The snapshots are evaluated BLOCK at a
     time, against the forcings sampled at the output times.
     """
-    config = traj.extras.get("config")
-    forcing = (config.forcing if config is not None else None) or Forcing.zero()
-    boundary = (config.boundary if config is not None else None) or BoundaryForcing.zero()
+    config = traj.extras["config"]
     ops, mat = traj.ops, traj.material
     times = traj.time_array()
     n = len(traj)
-    sampled = point_values(forcing, boundary, times, traj.mesh.nodes)
+    sampled = point_values(config.forcing, config.boundary, times,
+                           traj.mesh.nodes)
     E, D, workrate, uni = _accounting(
         traj.snapshots, mat, traj.potential, ops, _mono_tol(traj),
         lambda rows, V: _power(ops, mat, sampled, rows, V))
@@ -269,8 +266,7 @@ def _mono_tol(traj: Trajectory) -> float:
     """Unidirectionality tolerance: solver tolerance for weak trajectories,
     O(delta) for delta-regularized ones (the regularized indicator only
     enforces chi_t <= 0 in the vanishing-delta limit)."""
-    config = traj.extras.get("config")
-    base = config.tolerances.mono if config is not None else 1e-10
+    base = traj.extras["config"].tolerances.mono
     params = traj.extras.get("params")
     if params is not None:
         base = max(base, params.delta)
@@ -335,8 +331,7 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     reg_W = traj.extras["reg_W"]
     reg_I = traj.extras["reg_I"]
     params = traj.extras["params"]
-    config = traj.extras.get("config")
-    forcing = (config.forcing if config is not None else None) or Forcing.zero()
+    forcing = traj.extras["config"].forcing
     nu = params.nu
 
     times = traj.time_array()

@@ -1,14 +1,14 @@
 """Constitutive data for the 1D damage-viscoelasticity system.
 
 The material bundle carries the damage modulations a (elastic) and b
-(viscous), the scalar elasticity/viscosity moduli C and V, the
-semiconvexity constant ell of the damage potential, polynomial growth
-exponents for the second derivatives of a and b, and the three Robin
+(viscous), the scalar elasticity/viscosity moduli C and V, polynomial
+growth exponents for the second derivatives of a and b, and the three Robin
 boundary coefficients gamma0, gamma1, gamma2.
 
 The double-well potential is always handled through its convex/concave
 split W(r) = W_breve(r) - ell/2 r^2 with W_breve convex, possibly nonsmooth
-and carried by a proximal rule.
+and carried by a proximal rule; the semiconvexity constant ell >= 0 is a
+field of the split, and of nothing else.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .forcing import BoundaryForcing, Forcing
 from .regularization import (
     MonotoneGraph,
     graph_indicator_box,
@@ -121,7 +122,6 @@ class MaterialLaw:
     b_floor: float = 1.0
     C: float = 1.0
     V: float = 1.0
-    ell: float = 0.0
     growth_p: float = 1.0
     growth_q: float = 1.0
     gamma0: float = 1.0
@@ -135,8 +135,6 @@ class MaterialLaw:
             raise ValueError("b_floor must be positive")
         if min(self.gamma0, self.gamma1, self.gamma2) < 0:
             raise ValueError("boundary coefficients must be nonnegative")
-        if self.ell < 0:
-            raise ValueError("ell must be nonnegative")
 
     # Robin data enter the weak form divided by gamma0; gamma0 = 1 recovers
     # the plain form of the boundary terms.
@@ -154,26 +152,21 @@ class PotentialSplit:
     """Convex/concave split W = W_breve + W_check, W_check(r) = -ell/2 r^2."""
 
     convex_part: MonotoneGraph
-    concave_part_coeff: float
-    domain: tuple
+    ell: float
     name: str = ""
-    # analytic value of W_breve where available (None for prox-only parts)
-    breve_value: Optional[Callable] = None
 
-    @property
-    def ell(self) -> float:
-        return self.concave_part_coeff
+    def __post_init__(self):
+        if self.ell < 0:
+            raise ValueError("ell must be nonnegative")
 
     @property
     def smooth(self) -> bool:
         return self.convex_part.derivative is not None
 
     def breve_W(self, r):
-        if self.breve_value is not None:
-            return self.breve_value(_arr(r))
-        if self.convex_part.potential is not None:
-            return self.convex_part.potential(_arr(r))
-        raise ValueError(f"potential {self.name!r} has no evaluable convex part")
+        if self.convex_part.potential is None:
+            raise ValueError(f"potential {self.name!r} has no evaluable convex part")
+        return self.convex_part.potential(_arr(r))
 
     def breve_dW(self, r):
         if not self.smooth:
@@ -181,18 +174,13 @@ class PotentialSplit:
         return self.convex_part.minimal_section(_arr(r))
 
     def concave_dW(self, r):
-        return -self.concave_part_coeff * _arr(r)
+        return -self.ell * _arr(r)
 
     def W(self, r):
-        return self.breve_W(r) - 0.5 * self.concave_part_coeff * _arr(r) ** 2
+        return self.breve_W(r) - 0.5 * self.ell * _arr(r) ** 2
 
     def dW(self, r):
         return self.breve_dW(r) + self.concave_dW(r)
-
-    def d2W(self, r):
-        if self.convex_part.derivative is None:
-            raise ValueError(f"convex part of {self.name!r} is not twice smooth")
-        return self.convex_part.derivative(_arr(r)) - self.concave_part_coeff
 
 
 def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
@@ -214,14 +202,8 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
         ell = _pop("ell", 0.0)
         center = _pop("center", 0.0)
         _reject_extra(name, params)
-        if ell < 0:
-            raise ValueError("ell must be nonnegative")
-        graph = graph_quadratic(slope=1.0, center=center)
-        return PotentialSplit(
-            convex_part=graph, concave_part_coeff=ell,
-            domain=(-math.inf, math.inf), name="quadratic",
-            breve_value=lambda r: 0.5 * (_arr(r) - center) ** 2,
-        )
+        return PotentialSplit(graph_quadratic(slope=1.0, center=center), ell,
+                              name="quadratic")
 
     if name == "logarithmic":
         c1 = _pop("c1", 1.0)
@@ -250,26 +232,15 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
             rc = _clip(r)
             return 1.0 / rc + 1.0 / (1.0 - rc)
 
-        def _d3(r):
-            rc = _clip(r)
-            return -1.0 / rc**2 + 1.0 / (1.0 - rc) ** 2
-
-        graph = graph_smooth("log_barrier", _d1, _d2, _d3, potential=_val,
+        graph = graph_smooth("log_barrier", _d1, _d2, potential=_val,
                              domain=(0.0, 1.0), anchor=0.5)
-        return PotentialSplit(
-            convex_part=graph, concave_part_coeff=2.0 * c1,
-            domain=(0.0, 1.0), name="logarithmic", breve_value=_val,
-        )
+        return PotentialSplit(graph, 2.0 * c1, name="logarithmic")
 
     if name == "indicator_box":
         ell = _pop("ell", 0.0)
         _reject_extra(name, params)
-        if ell < 0:
-            raise ValueError("ell must be nonnegative")
-        return PotentialSplit(
-            convex_part=graph_indicator_box(0.0, 1.0), concave_part_coeff=ell,
-            domain=(0.0, 1.0), name="indicator_box",
-        )
+        return PotentialSplit(graph_indicator_box(0.0, 1.0), ell,
+                              name="indicator_box")
 
     if name == "smooth_double_well":
         k = _pop("barrier", 1.0)
@@ -289,17 +260,9 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
             r = _arr(r)
             return 3.0 * k * (2.0 * r - 1.0) ** 2
 
-        def _d3(r):
-            r = _arr(r)
-            return 12.0 * k * (2.0 * r - 1.0)
-
-        graph = graph_smooth("double_well_convex", _d1, _d2, _d3, potential=_val,
+        graph = graph_smooth("double_well_convex", _d1, _d2, potential=_val,
                              domain=(-math.inf, math.inf), anchor=0.0)
-        return PotentialSplit(
-            convex_part=graph, concave_part_coeff=k,
-            domain=(-math.inf, math.inf), name="smooth_double_well",
-            breve_value=_val,
-        )
+        return PotentialSplit(graph, k, name="smooth_double_well")
 
     raise ValueError(f"unknown potential preset {name!r}")
 
@@ -498,17 +461,17 @@ def _as_nodal(data, nodes: np.ndarray) -> np.ndarray:
 class ScenarioConfig:
     """Everything one run needs: mesh, time grid, physics, data, tolerances."""
 
-    N: int
-    L: float
-    T: float
-    K: int
     material: MaterialLaw
     potential: PotentialSplit
+    N: int = 201
+    L: float = 1.0
+    T: float = 1.0
+    K: int = 400
     u0: object = 0.0           # nodal array or callable of x
     v0: object = 0.0
     chi0: object = 1.0
-    forcing: object = None     # Forcing (None = zero)
-    boundary: object = None    # BoundaryForcing (None = zero)
+    forcing: Forcing = field(default_factory=Forcing.zero)
+    boundary: BoundaryForcing = field(default_factory=BoundaryForcing.zero)
     mode: str = "weak"
     tolerances: Tolerances = field(default_factory=Tolerances)
     strong: StrongSettings = field(default_factory=StrongSettings)
@@ -535,8 +498,6 @@ class ScenarioConfig:
             raise ValueError("N must be at least 3")
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if mode not in ("weak", "strong", "compare"):
-            raise ValueError(f"unknown mode {mode!r}")
         _, _, chi0 = self.initial_fields(nodes)
         if np.min(chi0) < 0.0 or np.max(chi0) > 1.0:
             raise ValueError("chi0 must take values in [0, 1]")
@@ -548,7 +509,7 @@ class ScenarioConfig:
             m = self.material
             if m.gamma1 != 0.0 or m.gamma2 != 0.0:
                 raise ValueError("strong mode requires gamma1 = gamma2 = 0")
-            if self.boundary is not None and not self.boundary.is_zero:
+            if not self.boundary.is_zero:
                 raise ValueError("strong mode requires homogeneous Neumann data")
             if m.C != m.V:
                 raise ValueError("strong mode requires matching moduli C = V")

@@ -110,8 +110,8 @@ class MonotoneGraph:
     minimal_section : callable or None
         The minimal-norm selection beta^o(x) (nan outside the domain of
         beta); for smooth single-valued graphs this is beta itself.
-    derivative, second_derivative : callable or None
-        beta' and beta'' for single-valued smooth graphs only.
+    derivative : callable or None
+        beta' for single-valued smooth graphs only.
     kinks : tuple of float
         Nonsmooth points of the Yosida approximation (independent of delta
         for indicator-type graphs).
@@ -129,7 +129,6 @@ class MonotoneGraph:
     potential: Optional[Callable] = None
     minimal_section: Optional[Callable] = None
     derivative: Optional[Callable] = None
-    second_derivative: Optional[Callable] = None
     kinks: tuple = ()
     domain: tuple = (-np.inf, np.inf)
     anchor: float = 0.0
@@ -202,7 +201,6 @@ def graph_quadratic(slope: float = 1.0, center: float = 0.0) -> MonotoneGraph:
         potential=lambda x: 0.5 * slope * (np.asarray(x, dtype=float) - center) ** 2,
         minimal_section=lambda x: slope * (np.asarray(x, dtype=float) - center),
         derivative=lambda x: np.full_like(np.asarray(x, dtype=float), slope),
-        second_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         domain=(-np.inf, np.inf),
         anchor=center,
         affine_yosida=(slope, center),
@@ -213,7 +211,6 @@ def graph_smooth(
     name: str,
     fn: Callable,
     dfn: Callable,
-    d2fn: Optional[Callable] = None,
     potential: Optional[Callable] = None,
     domain: tuple = (-np.inf, np.inf),
     anchor: float = 0.0,
@@ -286,7 +283,6 @@ def graph_smooth(
         potential=potential,
         minimal_section=fn,
         derivative=dfn,
-        second_derivative=d2fn,
         domain=domain,
         anchor=anchor,
     )
@@ -338,7 +334,6 @@ class Mollifier:
     drho: Callable
     d2rho: Callable
     c_hat: float                 # ||rho'||_L1
-    abs_moment: float            # int |z| rho(z) dz
     cum_F: Callable = field(repr=False)
     cum_G: Callable = field(repr=False)
     cum_H: Callable = field(repr=False)
@@ -396,8 +391,6 @@ def _build_standard_mollifier() -> Mollifier:
 
     # |rho'| integrates to 2 rho(0): rho increases on (-1,0), decreases after
     c_hat = 2.0 * float(rho(np.array([0.0]))[0])
-    abs_moment, _ = quad(lambda z: abs(z) * c * _bump_raw(z), -1.0, 1.0,
-                         epsabs=1e-14, epsrel=1e-14)
 
     zgrid = np.linspace(-1.0, 1.0, 8193)
     rv = rho(zgrid)
@@ -406,7 +399,7 @@ def _build_standard_mollifier() -> Mollifier:
     Gvals = np.concatenate([[0.0], cumulative_simpson(zgrid * rv, x=zgrid)])
     Hvals = np.concatenate([[0.0], cumulative_simpson(zgrid**2 * rv, x=zgrid)])
     return Mollifier(rho=rho, drho=drho, d2rho=d2rho, c_hat=c_hat,
-                     abs_moment=abs_moment, cum_F=CubicSpline(zgrid, Fvals),
+                     cum_F=CubicSpline(zgrid, Fvals),
                      cum_G=CubicSpline(zgrid, Gvals),
                      cum_H=CubicSpline(zgrid, Hvals))
 
@@ -598,13 +591,12 @@ class RegularizedFunction:
                 - self.vshift * (xs - x0))
 
 
-def regularize(graph: MonotoneGraph, delta: float,
-               mollifier: Optional[Mollifier] = None) -> RegularizedFunction:
+def regularize(graph: MonotoneGraph, delta: float) -> RegularizedFunction:
     """Plain mollified-Yosida regularization (no normalization shifts)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return RegularizedFunction(graph=graph, delta=delta,
-                               mollifier=mollifier or standard_mollifier())
+                               mollifier=standard_mollifier())
 
 
 # ---------------------------------------------------------------------------
@@ -712,27 +704,22 @@ def _normalized(reg: RegularizedFunction) -> RegularizedFunction:
     return replace(reg, vshift=v0)
 
 
-def make_W_delta(split, delta: float,
-                 mollifier: Optional[Mollifier] = None) -> RegularizedFunction:
+def make_W_delta(split, delta: float) -> RegularizedFunction:
     """Regularization of the convex-part derivative of a potential split.
 
     Returns a C^3 monotone function with 0 <= W'' <= 1/delta and
     |W'''| <= C_rho/delta^3, normalized so the derivative vanishes at 0.
     """
-    graph = split.convex_part if hasattr(split, "convex_part") else split
-    if graph.prox is None:
-        raise ValueError("convex part lacks a proximal rule")
-    return _normalized(regularize(graph, delta, mollifier))
+    return _normalized(regularize(split.convex_part, delta))
 
 
-def make_I_delta(delta: float,
-                 mollifier: Optional[Mollifier] = None) -> RegularizedFunction:
+def make_I_delta(delta: float) -> RegularizedFunction:
     """Smoothed Moreau-Yosida approximation of the indicator of (-inf, 0].
 
     The returned derivative I_delta' vanishes identically on (-inf, 0]
     (in particular I_delta'(0) = 0) and is (1/delta)-Lipschitz.
     """
-    reg = _normalized(regularize(graph_indicator_halfline(), delta, mollifier))
+    reg = _normalized(regularize(graph_indicator_halfline(), delta))
     if reg.shift == 0.0 and reg.vshift == 0.0:  # pragma: no cover - safety net
         raise RuntimeError("indicator normalization failed")
     return reg

@@ -61,7 +61,6 @@ from .discretization import (
     neumann_eigenbasis,
     solve_spd_tridiag,
 )
-from .forcing import Forcing
 from .model import MaterialLaw, PotentialSplit, ScenarioConfig, StrongSettings
 from .regularization import RegularizedFunction, make_I_delta, make_W_delta
 from .trajectory import Snapshot, StepReport, Trajectory
@@ -498,10 +497,8 @@ def run_strong(config: ScenarioConfig):
     state = SpectralState(t=0.0, c=c0, cdot=cdot0, omega=omega0,
                           omega_t=omega_t0, chi=chi0.copy(), chi_t=chi_t0)
 
-    forcing = config.forcing or Forcing.zero()
-
     def forcing_modal(t):
-        return basis.project(ops, forcing.at(t, mesh.nodes))
+        return basis.project(ops, config.forcing.at(t, mesh.nodes))
 
     steps = params.steps
     tau = config.T / steps

@@ -62,7 +62,7 @@ from .discretization import (
     solve_tridiag,
     weighted_stiffness_banded,
 )
-from .forcing import BoundaryForcing, Forcing, local_time_means
+from .forcing import local_time_means
 from .model import MaterialLaw, PotentialSplit, ScenarioConfig
 from .regularization import yosida_eval
 from .trajectory import Snapshot, StepReport, Trajectory
@@ -396,9 +396,8 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
         raise ValueError(f"tau = {tau:g} exceeds the coercivity bound {tmax:g}")
 
     u0, v0, chi0 = config.initial_fields(mesh.nodes)
-    means = local_time_means(config.forcing or Forcing.zero(),
-                             config.boundary or BoundaryForcing.zero(),
-                             config.K, tau, mesh.nodes)
+    means = local_time_means(config.forcing, config.boundary, config.K, tau,
+                             mesh.nodes)
     traj = Trajectory(mode="weak", mesh=mesh, ops=ops,
                       material=config.material, potential=config.potential,
                       tau=tau, forcing_means=means, extras={"config": config})

@@ -205,7 +205,7 @@ def test_criterion_06_linear_regime_exactness():
                   f"(C_fit = {c_fit:.2f}, constraint inactive)")
 
 
-def _strong_cfg(forcing=None, steps=100, N=65, varpi0="slaved", **kw):
+def _strong_cfg(forcing=Forcing.zero(), steps=100, N=65, varpi0="slaved", **kw):
     mat = MaterialLaw(a=scalar_fn("cubic_plus"), b=scalar_fn("constant"),
                       C=1.0, V=1.0)
     defaults = dict(
@@ -222,7 +222,7 @@ def _strong_cfg(forcing=None, steps=100, N=65, varpi0="slaved", **kw):
 
 def test_criterion_07_mean_identity():
     forcings = {
-        "zero": None,
+        "zero": Forcing.zero(),
         "constant": Forcing(profile=None, factor=ConstantFactor(0.7)),
         "sin_2pi_t": Forcing(profile=None, factor=CallableFactor(
             lambda t: math.sin(2.0 * math.pi * t))),

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 
@@ -121,7 +123,7 @@ SETTINGS = [
     ("strong", "strong", StrongSettings, ()),
     ("compare", "compare", CompareSettings, ()),
     ("regularize", "regularize", RegularizeDemoSettings, ()),
-    ("material", "material", MaterialLaw, ("a", "b", "ell")),
+    ("material", "material", MaterialLaw, ("a", "b")),
 ]
 
 
@@ -166,7 +168,6 @@ def test_omitted_settings_keys_take_the_dataclass_defaults():
     for _, attr, cls, fixed in SETTINGS:
         for f in _settable(cls, fixed):
             assert getattr(getattr(cfg, attr), f.name) == f.default, f.name
-    assert cfg.material.ell == cfg.potential.ell
 
 
 def test_omitted_initial_fields_take_the_scenario_defaults():
@@ -248,6 +249,58 @@ def test_invalid_material_exits_one_in_validate_mode(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "C and V must be positive" in err and "Traceback" not in err
+
+
+def _with_mode(mode):
+    return ZERO_DATA.replace('mode = "weak"', f'mode = "{mode}"')
+
+
+@pytest.mark.parametrize("mode", ["bogus", "sweep"])
+def test_unknown_file_mode_exits_one(tmp_path, capsys, mode):
+    cfg = write_cfg(tmp_path, _with_mode(mode))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[damage-sim] error:")
+    assert f"unknown mode '{mode}'" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_validate_mode_from_the_file(tmp_path):
+    cfg = write_cfg(tmp_path, _with_mode("validate"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "validation.json").read_text())
+    assert payload["config_ok"] is True and payload["config_error"] == ""
+
+
+def test_omitted_top_level_keys_take_the_scenario_defaults():
+    top = ("label", "mode", "seed", "mesh.", "time.", "output.")
+    text = "\n".join(line for line in ZERO_DATA.splitlines()
+                     if not line.startswith(top))
+    cfg = build_scenario(parse_config_text(text))
+    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+    names = ("N", "L", "T", "K", "mode", "output_stride", "seed", "label")
+    assert [getattr(cfg, k) for k in names] == [defaults[k] for k in names]
+    assert (cfg.N, cfg.L, cfg.T, cfg.K) == (201, 1.0, 1.0, 400)
+
+
+@pytest.mark.parametrize("key, attr", [
+    ("mesh.N", "N"), ("time.K", "K"), ("output.stride", "output_stride"),
+    ("seed", "seed"), ("strong.n_modes", "strong.n_modes"),
+    ("strong.steps", "strong.steps"), ("strong.schedule_n", "strong.schedule_n"),
+    ("strong.startup_steps", "strong.startup_steps"),
+    ("compare.refine_space", "compare.refine_space"),
+    ("compare.refine_time", "compare.refine_time"),
+    ("regularize.grid_n", "regularize.grid_n"),
+])
+def test_counts_must_be_integral(key, attr):
+    base = parse_config_text(ZERO_DATA)
+    cfg = build_scenario({**base, key: 5.0})
+    got = operator.attrgetter(attr)(cfg)
+    assert got == 5 and type(got) is int
+    for value in (5.5, 6.7, float("inf")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_scenario({**base, key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +518,27 @@ def test_regularize_demo_mode(tmp_path):
     data = np.genfromtxt(out / "regularized_indicator_halfline_delta_0.2.csv",
                          delimiter=",", names=True)
     assert "d2" in data.dtype.names
+
+
+def test_sweep_matches_direct_runs(tmp_path, monkeypatch):
+    # a weak and a strong run, and a validate run that fails (exit 2)
+    monkeypatch.setenv("DAMAGE_SIM_THREADS", "1")
+    failing = _with_mode("validate").replace('material.a = "quadratic_plus"',
+                                             'material.a = "identity"')
+    outputs = {"weak": "report.json", "strong": "report.json",
+               "failing": "validation.json"}
+    paths = [write_cfg(tmp_path, text, f"{name}.cfg") for name, text in
+             zip(outputs, (ZERO_DATA, STRONG_SMALL, failing))]
+    direct = [run_scenario(path, load_scenario(path)[0].mode,
+                           str(tmp_path / "direct" / name))
+              for path, name in zip(paths, outputs)]
+    assert direct == [0, 0, 2]
+    sweep = tmp_path / "sweep"
+    assert main(["--mode", "sweep", "--sweep-configs", *paths,
+                 "--out", str(sweep)]) == max(direct)
+    for name, report in outputs.items():
+        assert ((sweep / name / report).read_bytes()
+                == (tmp_path / "direct" / name / report).read_bytes())
 
 
 def test_cli_main_error_paths(tmp_path):
