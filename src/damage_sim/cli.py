@@ -233,15 +233,18 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config_path: str, mode: str, outdir: str,
+def run_scenario(config_path: str, mode: str | None, outdir: str,
                  tol_overrides=None, seed=None) -> int:
-    """Execute one scenario pipeline; returns the process exit status."""
+    """Execute one scenario pipeline in ``mode`` (None: the file's own);
+    returns the process exit status."""
     t0 = time.perf_counter()
     overrides = {f"tol.{k}": float(v) for k, v in tol_overrides or ()}
     if seed is not None:
         overrides["seed"] = int(seed)
     config, flat = load_scenario(config_path, overrides)
-    if mode in ("weak", "strong", "compare"):
+    if mode is None:
+        mode = config.mode
+    elif mode in ("weak", "strong", "compare"):
         config.mode = mode
     os.makedirs(outdir, exist_ok=True)
     files, status, extra = _RUNNERS[mode](config, outdir)
@@ -278,8 +281,7 @@ def main(argv=None) -> int:
             return _sweep(args.sweep_configs, args.out, overrides)
         if not args.config:
             parser.error("--config is required")
-        mode = args.mode or load_scenario(args.config)[0].mode
-        return run_scenario(args.config, mode, args.out, overrides,
+        return run_scenario(args.config, args.mode, args.out, overrides,
                             seed=args.seed)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"[damage-sim] error: {exc}", file=sys.stderr)
@@ -300,8 +302,8 @@ def _sweep(configs, outroot, overrides) -> int:
         for path in configs:
             name = os.path.splitext(os.path.basename(path))[0]
             outdir = os.path.join(outroot, name)
-            mode = load_scenario(path)[0].mode
-            futures[pool.submit(run_scenario, path, mode, outdir, overrides)] = path
+            futures[pool.submit(run_scenario, path, None, outdir,
+                                overrides)] = path
         for fut in concurrent.futures.as_completed(futures):
             status = max(status, fut.result())
     return status

@@ -32,7 +32,10 @@ ones take the ``ScenarioConfig`` defaults, so ``chi0`` = 1, intact);
 ``compare``, ``regularize``, whose keys are the fields of ``Tolerances``,
 ``StrongSettings``, ``CompareSettings`` and ``RegularizeDemoSettings``.
 Throughout, a value takes the type of the field's default (a count must be
-integral), and an absent key the default itself.
+integral), and an absent key the default itself; a preset's numeric
+parameter must be a number.  A bad value is a ``ConfigError`` that names
+its key; ``make_potential`` types the ``potential`` parameters itself and
+names a bad or unknown one in its ``ValueError``.
 
 Time presets, for ``forcing.kind`` and ``boundary.kind``: ``zero``;
 ``constant`` (``amplitude``); ``sin_t``, amplitude * sin(2 pi freq t)
@@ -147,9 +150,15 @@ class _Flat:
         return sorted(set(self.data) - self.used)
 
 
-def _space_profile(kind: str, opts: dict, prefix: str):
+def _pop_float(opts: dict, key: str, default: float, section: str) -> float:
+    """Pop ``key`` from a section's keys as a float; a bad value is a
+    ConfigError that names ``section.key``."""
+    return _typed(opts.pop(key, default), 0.0, f"{section}.{key}")
+
+
+def _space_profile(kind: str, opts: dict, prefix: str, section: str):
     if kind in ("one", "constant"):
-        value = float(opts.pop(f"{prefix}_value", 1.0))
+        value = _pop_float(opts, f"{prefix}_value", 1.0, section)
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
     if kind == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -168,26 +177,24 @@ def _space_profile(kind: str, opts: dict, prefix: str):
 
         return profile
     if kind == "bump":
-        amp = float(opts.pop(f"{prefix}_amplitude", 1.0))
-        center = float(opts.pop(f"{prefix}_center", 0.5))
-        width = float(opts.pop(f"{prefix}_width", 0.1))
+        amp = _pop_float(opts, f"{prefix}_amplitude", 1.0, section)
+        center = _pop_float(opts, f"{prefix}_center", 0.5, section)
+        width = _pop_float(opts, f"{prefix}_width", 0.1, section)
         return lambda x: amp * np.exp(-((np.asarray(x, dtype=float) - center)
                                         / width) ** 2)
     raise ConfigError(f"unknown spatial preset {kind!r}")
 
 
-def _time_factor(kind: str, opts: dict):
+def _time_factor(kind: str, opts: dict, section: str):
     if kind == "zero":
         return ConstantFactor(0.0)
     if kind == "constant":
-        return ConstantFactor(float(opts.pop("amplitude", 1.0)))
+        return ConstantFactor(_pop_float(opts, "amplitude", 1.0, section))
     if kind == "sin_t":
-        amp = float(opts.pop("amplitude", 1.0))
-        freq = float(opts.pop("freq", 1.0))
-        return SineFactor(amp, freq)
+        return SineFactor(_pop_float(opts, "amplitude", 1.0, section),
+                          _pop_float(opts, "freq", 1.0, section))
     if kind == "linear_t":
-        slope = float(opts.pop("slope", 1.0))
-        return LinearFactor(slope)
+        return LinearFactor(_pop_float(opts, "slope", 1.0, section))
     if kind == "table":
         times = opts.pop("times")
         values = opts.pop("values")
@@ -202,8 +209,8 @@ def _initial_field(group: dict, name: str):
     if kind == "zero":
         return 0.0
     if kind == "constant":
-        return float(group.pop(f"{name}_value", 0.0))
-    return _space_profile(kind, group, name)
+        return _pop_float(group, f"{name}_value", 0.0, "initial")
+    return _space_profile(kind, group, name, "initial")
 
 
 def _typed(value, default, key: str):
@@ -252,17 +259,18 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     a_name = mat_group.pop("a", "quadratic_plus")
     a_params = {}
     if "a_scale" in mat_group:
-        a_params["scale"] = float(mat_group.pop("a_scale"))
+        a_params["scale"] = _pop_float(mat_group, "a_scale", 1.0, "material")
     b_name = mat_group.pop("b", "constant")
+    b_floor = _pop_float(mat_group, "b_floor", MaterialLaw.b_floor, "material")
     b_params = {}
     if b_name == "constant" and "b_value" in mat_group:
-        b_params["value"] = float(mat_group.pop("b_value"))
+        b_params["value"] = _pop_float(mat_group, "b_value", 1.0, "material")
     if b_name == "quadratic_floor":
-        b_params["floor"] = float(mat_group.get("b_floor", MaterialLaw.b_floor))
-        b_params["scale"] = float(mat_group.pop("b_scale", 0.0))
+        b_params["floor"] = b_floor
+        b_params["scale"] = _pop_float(mat_group, "b_scale", 0.0, "material")
     material = _settings(MaterialLaw, mat_group, "material",
                          a=scalar_fn(a_name, **a_params),
-                         b=scalar_fn(b_name, **b_params))
+                         b=scalar_fn(b_name, **b_params), b_floor=b_floor)
 
     init_group = f.group("initial")
     initial = {name: _initial_field(init_group, name)
@@ -275,9 +283,9 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if fk == "zero":
         forcing = Forcing.zero()
     else:
-        factor = _time_factor(fk, forcing_group)
+        factor = _time_factor(fk, forcing_group, "forcing")
         pkind = forcing_group.pop("profile", "one")
-        profile = _space_profile(pkind, forcing_group, "profile")
+        profile = _space_profile(pkind, forcing_group, "profile", "forcing")
         forcing = Forcing(profile=profile, factor=factor)
     if forcing_group:
         raise ConfigError(f"unknown forcing keys: {sorted(forcing_group)}")
@@ -287,7 +295,7 @@ def build_scenario(flat: dict) -> ScenarioConfig:
     if bk == "zero":
         boundary = BoundaryForcing.zero()
     else:
-        factor = _time_factor(bk, bdry_group)
+        factor = _time_factor(bk, bdry_group, "boundary")
         weights = bdry_group.pop("weights", [1.0, 1.0])
         boundary = BoundaryForcing(factor=factor, weights=tuple(weights))
     if bdry_group:

@@ -74,10 +74,12 @@ _SCALAR_PRESETS = {
         lambda r: np.ones_like(_arr(r)),
         lambda r: np.zeros_like(_arr(r)),
     ),
+    # d1 is the right derivative, s at the kink r = 0: a minimizer of the
+    # damage step that rests on a lower bound 0 then passes the KKT test
     "linear_plus": lambda scale=1.0: ScalarFn(
         f"linear_plus({scale:g})",
         lambda r, s=scale: s * np.maximum(_arr(r), 0.0),
-        lambda r, s=scale: s * (_arr(r) > 0.0).astype(float),
+        lambda r, s=scale: s * (_arr(r) >= 0.0).astype(float),
         lambda r: np.zeros_like(_arr(r)),
     ),
     # max(r,0)^2: C^1, convex, vanishing on the negative axis
@@ -196,7 +198,12 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
     params = dict(params or {})
 
     def _pop(key, default):
-        return float(params.pop(key, default))
+        value = params.pop(key, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad value for potential parameter {key!r}: "
+                             f"{value!r}") from None
 
     if name == "quadratic":
         ell = _pop("ell", 0.0)
@@ -505,7 +512,11 @@ class ScenarioConfig:
             raise ValueError(
                 "gamma0 must be positive; Dirichlet loadings are emulated "
                 "through large gamma1/gamma2 Robin penalization")
-        if mode == "strong":
+        if mode == "compare" and not self.potential.smooth:
+            raise ValueError(
+                "compare mode needs a smooth potential for the relative "
+                f"energy; {self.potential.name!r} is not")
+        if mode in ("strong", "compare"):
             m = self.material
             if m.gamma1 != 0.0 or m.gamma2 != 0.0:
                 raise ValueError("strong mode requires gamma1 = gamma2 = 0")

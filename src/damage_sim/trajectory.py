@@ -202,7 +202,7 @@ class Snapshot:
 @dataclass
 class StepReport:
     step: int
-    inner_iterations: int = 0
+    inner_iterations: int = 0   # strong stage outer iterations; 0 in weak mode
     objective_decrease: float = 0.0
     kkt_residual: float = 0.0
     active_count: int = 0

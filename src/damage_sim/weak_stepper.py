@@ -26,16 +26,17 @@ the discrete energy-dissipation inequality exactly (up to the inner-solver
 tolerance); the diagnostics module evaluates the same discrete functionals.
 
 Step 1 is solved by the primal-dual active-set method, a semismooth Newton
-iteration on the reduced tridiagonal system.  It converges locally, so it is
-started from the predictor clip(chi^{k-1} + tau chi_t^{k-1}, lo, chi^{k-1}),
-lo the lower end of the convex part's domain: that places a receding damage
-front near its new position instead of at its old one.  Accelerated
-proximal gradient (FISTA with restart and backtracking) is only the
-fallback, for a Newton iteration that stalls, cycles or hits its cap, and
-for graphs without Newton data.  Positivity of chi is never imposed: when
-the degradation coefficient a is nondecreasing, convex, and vanishes on the
-negative axis, the minimizer is automatically nonnegative, and the
-truncation consistency check verifies that after the fact.
+iteration on the reduced tridiagonal system, and by nothing else.  It
+converges locally, so it is started from the predictor
+clip(chi^{k-1} + tau chi_t^{k-1}, lo, chi^{k-1}), lo the lower end of the
+convex part's domain: that places a receding damage front near its new
+position instead of at its old one.  An iteration that stalls, cycles or
+reaches its cap of N steps raises DamageSolveError, which run_weak hands on
+with the failed step and the partial trajectory.  Positivity of chi is
+never imposed: when the degradation coefficient a is nondecreasing, convex,
+and vanishes on the negative axis, the minimizer is automatically
+nonnegative, and the truncation consistency check verifies that after the
+fact.
 
 The reduced Newton systems and the momentum system are tridiagonal and go
 straight to LAPACK (?gtsv and ?ptsv).  The energy, dissipation and work of
@@ -162,6 +163,9 @@ class DamageSubproblem:
         return float(np.max(np.abs(chi - step)) / eta)
 
     def lipschitz_guess(self) -> float:
+        """Bound on the curvature of the smooth part per unit nodal weight:
+        the least complementarity constant of the active-set test and the
+        inverse step of the KKT residual."""
         h = 2.0 * float(np.min(self.w))
         base = float(np.max(self.w)) / self.tau + 4.0 / h
         a = self.material.a
@@ -199,45 +203,34 @@ def damage_tau_max(potential: PotentialSplit) -> float:
 
 
 def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
-                max_polish: int | None = None, hard_cap: int = 20000,
                 start: np.ndarray | None = None) -> tuple:
     """Minimize P over the obstacle set; returns (chi, StepReport).
 
-    Newton first, from ``start`` (default chi^{k-1}); FISTA rounds of 200
-    iterations (at most ``hard_cap`` in all) run only when the polish fails
-    or the graph has neither a derivative nor piecewise-affine data.  The
-    reported objective decrease is measured from chi^{k-1} whatever the
-    start.  ``max_polish`` defaults to N: a front of active nodes that the
-    start misplaces recedes by about one node per side and iteration.
+    The active-set Newton iteration runs from ``start`` (default chi^{k-1})
+    for at most N steps: a front of active nodes that the start misplaces
+    recedes by about one node per side and step.  If it stops above
+    ``tol_inner`` (stalled, cycling or capped) DamageSolveError is raised
+    with the KKT residual.  The convex part needs a derivative or
+    piecewise-affine data.  The reported objective decrease is measured
+    from chi^{k-1} whatever the start.
     """
+    graph = sub.graph
+    if graph.derivative is None and graph.pw_jumps is None:
+        raise ValueError(f"convex part {graph.name!r} has neither a "
+                         "derivative nor piecewise-affine data")
     t_start = time.perf_counter()
     obj0 = sub.objective(sub.chi_prev)
-    x = (sub.chi_prev if start is None else start).copy()
-    L = sub.lipschitz_guess()
-    polishable = (sub.graph.derivative is not None
-                  or sub.graph.pw_jumps is not None)
-    max_polish = sub.w.size if max_polish is None else max_polish
-    fista_iters = newton_iters = 0
-    kkt = math.inf
-    while kkt > tol_inner:
-        if polishable:
-            x, its, kkt = _active_set_polish(sub, x, tol_inner, max_polish, L)
-            newton_iters += its
-            if kkt <= tol_inner:
-                break
-        if fista_iters >= hard_cap:
-            break
-        x, kkt, L, its = _fista(sub, x, 200, L, tol_inner)
-        fista_iters += its
-
+    x = sub.chi_prev if start is None else start
+    x, newton_iters, kkt = _active_set_newton(sub, x, tol_inner,
+                                              sub.lipschitz_guess())
     if kkt > tol_inner:
         raise DamageSolveError(
-            f"damage minimization stalled at KKT residual {kkt:.3e}")
+            f"damage minimization stopped after {newton_iters} Newton steps "
+            f"at KKT residual {kkt:.3e}")
 
     chi = np.minimum(x, sub.upper)   # tolerance-level feasibility snap
     return chi, StepReport(
         step=-1,
-        inner_iterations=fista_iters,
         newton_iterations=newton_iters,
         objective_decrease=obj0 - sub.objective(chi),
         kkt_residual=kkt,
@@ -246,39 +239,22 @@ def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
     )
 
 
-def _fista(sub: DamageSubproblem, x: np.ndarray, iters: int, L: float,
-           tol: float) -> tuple:
-    """FISTA with backtracking and adaptive restart; returns (x, kkt, L, its)."""
-    y = x.copy()
-    t_acc = 1.0
-    for it in range(1, iters + 1):
-        gy = sub.smooth_grad(y)
-        fy = sub.smooth_value(y)
-        for _ in range(60):
-            z = sub.prox_project(y - gy / L, 1.0 / L)
-            dz = z - y
-            quad = fy + float(np.dot(gy, dz)) + 0.5 * L * float(np.dot(dz, dz))
-            if sub.smooth_value(z) <= quad + 1e-15 * (1.0 + abs(quad)):
-                break
-            L *= 2.0
-        if float(np.dot(gy, z - x)) > 0.0:   # adaptive restart
-            t_acc = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = z + ((t_acc - 1.0) / t_new) * (z - x)
-        x, t_acc = z, t_new
-        kkt = sub.kkt_residual(x, 1.0 / L)
-        if kkt <= tol:
-            break
-    return x, kkt, L, it
-
-
-def _active_set_polish(sub: DamageSubproblem, x: np.ndarray, tol: float,
-                       max_iter: int, scale: float) -> tuple:
+def _active_set_newton(sub: DamageSubproblem, x: np.ndarray, tol: float,
+                       scale: float) -> tuple:
     """Primal-dual active set iteration on the reduced tridiagonal system;
-    returns (chi, Newton steps, KKT residual).  Stops on a stalled step or
-    when an active set other than the last one recurs (cycling)."""
+    returns (chi, Newton steps, KKT residual).  Stops after N steps, on a
+    stalled step, or when an active set other than the last one recurs
+    (cycling).
+
+    Iterates stay in the domain of the convex part.  A node goes to a
+    bound when chi - R/c crosses it, R its residual and c its
+    complementarity constant: ``scale``, or where larger the curvature of
+    the convex part at the node.  A steep barrier (the logarithmic
+    potential near 0) then does not send a node from one bound to the
+    other and back.
+    """
     graph = sub.graph
-    lo, hi = graph.domain if graph.pw_jumps is not None else (-np.inf, np.inf)
+    lo, hi = graph.domain
     lb = np.full(x.size, lo)
     ub = np.minimum(sub.upper, hi)
     has_smooth = graph.derivative is not None
@@ -290,10 +266,12 @@ def _active_set_polish(sub: DamageSubproblem, x: np.ndarray, tol: float,
     chi = np.clip(x, lb, ub)
     kkt = math.inf
     seen, last = set(), None
-    for it in range(1, max_iter + 1):
+    for it in range(1, x.size + 1):
         R = residual(chi)
-        act_up = (-R + scale * (chi - ub)) > 0.0
-        act_lo = (R + scale * (lb - chi)) > 0.0
+        c = (np.maximum(scale, sub.w * graph.derivative(chi)) if has_smooth
+             else scale)
+        act_up = (-R + c * (chi - ub)) > 0.0
+        act_lo = (R + c * (lb - chi)) > 0.0
         key = np.packbits(act_up).tobytes() + np.packbits(act_lo).tobytes()
         if key != last and key in seen:
             return chi, it - 1, kkt

@@ -11,7 +11,6 @@ from scipy.linalg import eigh
 from scipy.special import roots_legendre
 
 from damage_sim.discretization import banded_matvec, banded_quadform
-from damage_sim.forcing import BoundaryForcing, Forcing
 
 
 def banded_to_dense(ab):
@@ -287,8 +286,7 @@ def edi_per_snapshot(traj, mono):
     ops, mat, pot = traj.ops, traj.material, traj.potential
     tau = traj.tau
     config = traj.extras["config"]
-    forcing = config.forcing or Forcing.zero()
-    boundary = config.boundary or BoundaryForcing.zero()
+    forcing, boundary = config.forcing, config.boundary
     profile = forcing.profile_on(traj.mesh.nodes)
     K = len(traj) - 1
     E = np.array([energy_per_snapshot(s, mat, pot, ops) for s in traj.snapshots])

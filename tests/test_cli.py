@@ -303,6 +303,40 @@ def test_counts_must_be_integral(key, attr):
             build_scenario({**base, key: value})
 
 
+@pytest.mark.parametrize("key, extra", [
+    ("material.a_scale", {}),
+    ("material.b_value", {}),
+    ("material.b_scale", {"material.b": "quadratic_floor"}),
+    ("material.b_floor", {"material.b": "quadratic_floor"}),
+    ("forcing.amplitude", {"forcing.kind": "sin_t"}),
+    ("forcing.profile_width", {"forcing.kind": "constant",
+                               "forcing.profile": "bump"}),
+    ("boundary.slope", {"boundary.kind": "linear_t"}),
+    ("initial.u0_value", {"initial.u0": "constant"}),
+])
+def test_bad_preset_number_names_its_key(key, extra):
+    base = {**parse_config_text(ZERO_DATA), **extra}
+    base.pop("potential.center")
+    for value in ("x", [1.0, 2.0]):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_scenario({**base, key: value})
+
+
+@pytest.mark.parametrize("name, param", [("quadratic", "center"),
+                                         ("logarithmic", "c1")])
+def test_bad_potential_parameter_names_it(name, param):
+    base = parse_config_text(ZERO_DATA)
+    base.pop("potential.center")
+    base["potential.name"] = name
+    message = f"bad value for potential parameter '{param}'"
+    for value in ("x", [1.0, 2.0]):
+        with pytest.raises(ValueError, match=message):
+            build_scenario({**base, f"potential.{param}": value})
+    # a misspelled key is unknown, whatever its value
+    with pytest.raises(ValueError, match=r"unexpected parameters .*'nmae'"):
+        build_scenario({**base, "potential.nmae": "log"})
+
+
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
@@ -456,6 +490,28 @@ def test_compare_surrogate_follows_strong_schedule(tmp_path, monkeypatch):
         (0.25, 2.0 ** -8, 6, 20)]
 
 
+def test_compare_mode_rejects_nonsmooth_potential_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    # the relative energy needs W'', so indicator_box is refused by
+    # ScenarioConfig.validate before the weak run, not by rei_check after
+    # both runs
+    strong_runs = []
+
+    def spy(config):
+        strong_runs.append(config)
+        raise RuntimeError("the strong surrogate should not run")
+
+    monkeypatch.setattr(cli, "run_strong", spy)
+    text = config_text("compare_demo").replace(
+        'potential.name = "quadratic"', 'potential.name = "indicator_box"')
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 1
+    assert "smooth potential" in capsys.readouterr().err
+    assert strong_runs == []
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="implicit midpoint is not L-stable: step_regularized "
                           "sets omega_t to the extrapolation 2*stage - cur, "
@@ -529,8 +585,7 @@ def test_sweep_matches_direct_runs(tmp_path, monkeypatch):
                "failing": "validation.json"}
     paths = [write_cfg(tmp_path, text, f"{name}.cfg") for name, text in
              zip(outputs, (ZERO_DATA, STRONG_SMALL, failing))]
-    direct = [run_scenario(path, load_scenario(path)[0].mode,
-                           str(tmp_path / "direct" / name))
+    direct = [run_scenario(path, None, str(tmp_path / "direct" / name))
               for path, name in zip(paths, outputs)]
     assert direct == [0, 0, 2]
     sweep = tmp_path / "sweep"

@@ -208,14 +208,12 @@ def accounting_runs():
                                   "strong_demo"])
 def test_stacked_accounting_matches_per_snapshot_oracle(accounting_runs, name):
     from damage_sim.diagnostics import _mono_tol
-    from damage_sim.forcing import BoundaryForcing
 
     traj = accounting_runs[name]
     config = traj.extras["config"]
     mono = _mono_tol(traj)
     checks = [(uedi_check(traj), uedi_per_snapshot(
-        traj, config.forcing or Forcing.zero(),
-        config.boundary or BoundaryForcing.zero(), mono))]
+        traj, config.forcing, config.boundary, mono))]
     if traj.mode == "weak":
         checks.append((discrete_edi_check(traj), edi_per_snapshot(traj, mono)))
     for rep, (E, D, work, slack, uni) in checks:

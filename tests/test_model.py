@@ -48,6 +48,11 @@ def test_smooth_double_well_is_ell_convex_split():
     assert np.min(vals[:-2] - 2 * vals[1:-1] + vals[2:]) >= -1e-12
 
 
+def test_linear_plus_derivative_is_right_derivative_at_kink():
+    a = scalar_fn("linear_plus", scale=2.0)
+    assert np.array_equal(a.d1(np.array([-1.0, 0.0, 0.5])), [0.0, 2.0, 2.0])
+
+
 def test_unknown_preset_and_bad_params_rejected():
     with pytest.raises(ValueError):
         make_potential("nope")
