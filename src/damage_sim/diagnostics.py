@@ -189,32 +189,32 @@ class EnergyReport:
 def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     """Slack of the telescoped step inequality E_k + tau sum D_j <= E_0 + work.
 
-    Trajectories with a snapshot at every step are checked from their
-    snapshots and the run's forcing means (``step_series``, BLOCK snapshots
-    at a time); strided ones use the per-step series the stepper
-    accumulated (every step, regardless of the snapshot stride).  The
-    default tolerance is (inner tolerance) x (step count), the only
-    admissible source of negative slack.
+    A trajectory that carries the per-step series the stepper accumulated
+    (every step, regardless of the snapshot stride) is checked from it;
+    one without it must have a snapshot at every step, and its series is
+    recomputed from them and the run's forcing means (``step_series``,
+    BLOCK snapshots at a time).  The default tolerance is (inner
+    tolerance) x (step count), the only admissible source of negative
+    slack.
     """
     if traj.mode != "weak":
         raise ValueError("discrete EDI applies to weak-mode trajectories")
     tau = traj.tau
 
     series = traj.extras.get("edi_series")
-    if not np.allclose(np.diff(traj.time_array()), tau):
-        # strided trajectory: fall back to the series accumulated in-run
-        if series is None:
-            raise ValueError("trajectory carries neither full-resolution "
-                             "snapshots nor the accumulated EDI series")
+    if series is not None:
         times, E, D, work = (np.asarray(series[key])
                              for key in ("times", "E", "D", "work"))
         uni = bool(series["unidirectional"])
-    else:
+    elif np.allclose(np.diff(traj.time_array()), tau):
         times = traj.time_array()
         E, D, work, uni = step_series(
             traj.snapshots, 0, traj.material, traj.potential, traj.ops, tau,
             traj.forcing_means, _mono_tol(traj))
         work = np.cumsum(work)
+    else:
+        raise ValueError("trajectory carries neither full-resolution "
+                         "snapshots nor the accumulated EDI series")
 
     if tol is None:
         tol = traj.extras["config"].tolerances.inner * max(1, times.size - 1)

@@ -27,7 +27,7 @@ All four bounds are testable via :func:`regularization_property_check`.
 Evaluation strategy: graphs whose Yosida approximation is piecewise affine
 (indicator graphs) get closed-form mollified values through the cumulative
 kernel moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz, whose
-splines are evaluated only at points that see a kink inside the kernel
+tables are evaluated only at points that see a kink inside the kernel
 support (|w| < 1); every other point takes their exact end values, so a
 call costs a few array operations per kink.  Affine Yosida functions pass
 through mollification unchanged; everything else (the smooth graphs of the
@@ -44,10 +44,12 @@ piecewise quadratic for piecewise-affine ones (closed form with the third
 moment H(w) = int_{-1}^w z^2 rho(z) dz), and goes through the same
 Gauss-Legendre broadcast, with rho alone, for the smooth graphs.
 
-scipy's quadrature, spline and special-function modules are imported where
-they are used: by the standard mollifier and by the Gauss-Legendre table,
-each built once on first use, so importing this module (as the weak stepper
-does, for ``yosida_eval``) loads none of them.
+The standard mollifier's moment tables are built with numpy alone: the
+endpoint-corrected trapezoid rule (Euler-Maclaurin) on a uniform grid of
+8,193 nodes, evaluated by cubic Hermite interpolation with the exact slopes
+(Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
+Only the Gauss-Legendre table of the smooth graphs imports scipy.special,
+on first use.
 """
 
 from __future__ import annotations
@@ -323,11 +325,11 @@ def _bump_raw(z):
 class Mollifier:
     """Smooth even kernel with unit mass and support in [-1, 1].
 
-    Carries the derivative kernels and the splines of the cumulative
-    moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz and
-    H(w) = int_{-1}^w z^2 rho(z) dz used by the closed-form mollification of
-    piecewise-affine functions (F and G) and of their piecewise-quadratic
-    Moreau envelopes (all three).
+    Carries the derivative kernels and the interpolated tables of the
+    cumulative moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz
+    and H(w) = int_{-1}^w z^2 rho(z) dz used by the closed-form
+    mollification of piecewise-affine functions (F and G) and of their
+    piecewise-quadratic Moreau envelopes (all three).
     """
 
     rho: Callable
@@ -341,13 +343,13 @@ class Mollifier:
     @cached_property
     def _ends(self):
         """(value at w = -1, value at w = 1) of each of F, G, H, taken from
-        the splines."""
+        the tables."""
         return tuple((s(-1.0), s(1.0))
                      for s in (self.cum_F, self.cum_G, self.cum_H))
 
     def moments(self, w, count: int = 2):
         """The first ``count`` of (F(w), G(w), H(w)), constant outside
-        [-1, 1]: the splines run only at the points with |w| < 1 (and NaN,
+        [-1, 1]: the tables run only at the points with |w| < 1 (and NaN,
         which they propagate)."""
         above = w >= 1.0
         out = [np.where(above, hi, lo) for lo, hi in self._ends[:count]]
@@ -359,12 +361,41 @@ class Mollifier:
         return out
 
 
-def _build_standard_mollifier() -> Mollifier:
-    from scipy.integrate import cumulative_simpson, quad
-    from scipy.interpolate import CubicSpline
+def _hermite(z, y, slope):
+    """Cubic Hermite interpolant of the values y with the slopes ``slope`` at
+    the uniform nodes z, as a callable.
 
-    mass, _ = quad(_bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)
-    c = 1.0 / mass
+    One Horner row (y_i, m_i, c2_i, c3_i) per node, stored as four
+    contiguous arrays; the last node's row is its constant value, so every
+    node evaluates to its tabulated value exactly (t = 0) and points beyond
+    the last node take that value.  ``searchsorted`` sends NaN to the last
+    row, where t is NaN and so is the result.
+    """
+    h = z[1] - z[0]
+    secant = np.diff(y) / h
+    coef = np.zeros((4, z.size))
+    coef[0] = y
+    coef[1, :-1] = slope[:-1]
+    coef[2, :-1] = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / h
+    coef[3, :-1] = (slope[:-1] + slope[1:] - 2.0 * secant) / (h * h)
+    a0, a1, a2, a3 = coef
+
+    def evaluate(w):
+        w = np.asarray(w, dtype=float)
+        i = np.maximum(np.searchsorted(z, w, side="right") - 1, 0)
+        t = w - z[i]
+        return a0[i] + t * (a1[i] + t * (a2[i] + t * a3[i]))
+
+    return evaluate
+
+
+# Mass of the raw bump, as adaptive quadrature to 1e-14 gives it: rho's bits,
+# and tests that sit at round-off, depend on its last digit.
+_BUMP_MASS = 0.4439938161680793
+
+
+def _build_standard_mollifier() -> Mollifier:
+    c = 1.0 / _BUMP_MASS
 
     def rho(z):
         return c * _bump_raw(z)
@@ -392,16 +423,24 @@ def _build_standard_mollifier() -> Mollifier:
     # |rho'| integrates to 2 rho(0): rho increases on (-1,0), decreases after
     c_hat = 2.0 * float(rho(np.array([0.0]))[0])
 
-    zgrid = np.linspace(-1.0, 1.0, 8193)
-    rv = rho(zgrid)
-    Fvals = np.concatenate([[0.0], cumulative_simpson(rv, x=zgrid)])
-    Fvals /= Fvals[-1]
-    Gvals = np.concatenate([[0.0], cumulative_simpson(zgrid * rv, x=zgrid)])
-    Hvals = np.concatenate([[0.0], cumulative_simpson(zgrid**2 * rv, x=zgrid)])
+    # F, G and H at the nodes by the endpoint-corrected trapezoid rule
+    # (Euler-Maclaurin), cell by cell, with the integrand's exact derivative
+    z = np.linspace(-1.0, 1.0, 8193)
+    h = z[1] - z[0]
+    r, dr = rho(z), drho(z)
+
+    def cumulative(f, df):
+        cells = 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * (df[:-1] - df[1:])
+        return np.concatenate([[0.0], np.cumsum(cells)])
+
+    F = cumulative(r, dr)
+    zr, zzr = z * r, z * z * r
+    # F(1) = 1 exactly; its slopes scale with it
     return Mollifier(rho=rho, drho=drho, d2rho=d2rho, c_hat=c_hat,
-                     cum_F=CubicSpline(zgrid, Fvals),
-                     cum_G=CubicSpline(zgrid, Gvals),
-                     cum_H=CubicSpline(zgrid, Hvals))
+                     cum_F=_hermite(z, F / F[-1], r / F[-1]),
+                     cum_G=_hermite(z, cumulative(zr, r + z * dr), zr),
+                     cum_H=_hermite(z, cumulative(zzr, 2.0 * zr + z * z * dr),
+                                    zzr))
 
 
 _STANDARD_MOLLIFIER: Optional[Mollifier] = None

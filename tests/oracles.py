@@ -207,7 +207,7 @@ def mollified_yosida_pointwise(reg, xs):
 
 def mollified_pw_clipped(reg, xs):
     """(value, d1, d2) of the unshifted mollified Yosida of a piecewise-affine
-    graph at xs, with the kernel moments F and G taken from their splines at
+    graph at xs, with the kernel moments F and G taken from their tables at
     clip(w, -1, 1) at every point and every kink."""
     g, d, m = reg.graph, reg.delta, reg.mollifier
     xs = np.asarray(xs, dtype=float)

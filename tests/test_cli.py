@@ -379,9 +379,10 @@ def test_weak_mode_outputs_and_manifest(tmp_path):
     assert report["schema_version"] == 1
 
 
-# scipy's quadrature and spline stack and what it pulls in
+# scipy's quadrature, spline and special-function modules and what the
+# first two pull in
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.special",
-         "scipy.optimize")
+         "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
 
 
 def _fresh_run(tmp_path, script):
@@ -410,26 +411,24 @@ print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
     assert loaded == []
 
 
-def test_strong_run_imports_scipy_quadrature_at_first_regularize(tmp_path):
-    cfg = write_cfg(tmp_path, STRONG_SMALL)
+@pytest.mark.parametrize("potential, loaded", [
+    ("quadratic", []),
+    # the smooth graph's Gauss-Legendre nodes come from scipy.special
+    ("logarithmic", ["scipy.special"]),
+], ids=["quadratic", "logarithmic"])
+def test_strong_run_imports_no_scipy_quadrature_or_splines(tmp_path, potential,
+                                                           loaded):
+    # the mollifier's moment tables are built with numpy alone
+    cfg = write_cfg(tmp_path, STRONG_SMALL.replace(
+        'potential.name = "quadratic"', f'potential.name = "{potential}"'))
     status, seen = _fresh_run(tmp_path, f"""
 import json, sys
-from damage_sim import regularization
 from damage_sim.cli import run_scenario
-real, seen = regularization.regularize, []
-
-def spy(*args, **kw):
-    seen.append([m for m in {HEAVY!r} if m in sys.modules])
-    return real(*args, **kw)
-
-regularization.regularize = spy
 status = run_scenario({cfg!r}, "strong", "out")
-print(json.dumps([status, seen + [[m for m in {HEAVY!r} if m in sys.modules]]]))
+print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
 """)
     assert status == 0
-    assert len(seen) >= 3
-    assert seen[0] == []
-    assert all(loaded == list(HEAVY) for loaded in seen[1:])
+    assert seen == loaded
 
 
 def test_strong_mode_outputs(tmp_path):

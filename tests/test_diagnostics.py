@@ -14,6 +14,7 @@ from damage_sim.diagnostics import (
     rei_check,
     relative_dissipation,
     relative_energy,
+    step_series,
     strong_energy_balance_residual,
     uedi_check,
 )
@@ -166,6 +167,7 @@ def test_edi_detects_injected_energy():
     cfg = _weak_config()
     traj = run_weak(cfg)
     traj.snapshots[3].v = traj.snapshots[3].v + 0.5
+    del traj.extras["edi_series"]        # check the tampered snapshots
     rep = discrete_edi_check(traj)
     assert np.min(rep.slack[3:]) < -1e-3
     urep = uedi_check(traj)
@@ -176,6 +178,7 @@ def test_edi_detects_injected_energy_in_second_block():
     # snapshot 70 lies in the second block of the stacked accounting
     traj = run_weak(_weak_config(K=100, T=1.0))
     traj.snapshots[70].v = traj.snapshots[70].v + 2.0
+    del traj.extras["edi_series"]        # check the tampered snapshots
     for rep in (discrete_edi_check(traj), uedi_check(traj)):
         assert not rep.passed
         assert int(np.argmin(rep.slack)) == 70
@@ -190,6 +193,7 @@ def test_edi_detects_injected_energy_in_second_block():
 def test_uedi_detects_injected_energy_at_half_amplitude():
     traj = run_weak(_weak_config(K=100, T=1.0))
     traj.snapshots[70].v = traj.snapshots[70].v + 0.5
+    del traj.extras["edi_series"]        # check the tampered snapshots
     assert not discrete_edi_check(traj).passed
     assert not uedi_check(traj).passed
 
@@ -233,12 +237,18 @@ def test_stacked_accounting_matches_per_snapshot_oracle(accounting_runs, name):
 
 
 def test_in_run_series_equals_snapshot_recomputation_bitwise(accounting_runs):
-    # the stepper flushes the same blocks the check evaluates
+    # the stepper flushes the same blocks a recomputation evaluates
     traj = accounting_runs["robin_loaded"]
     series = traj.extras["edi_series"]
-    rep = discrete_edi_check(traj)
-    for key, got in (("E", rep.E), ("D", rep.D_inst), ("work", rep.work_cum)):
+    E, D, work, uni = step_series(
+        traj.snapshots, 0, traj.material, traj.potential, traj.ops, traj.tau,
+        traj.forcing_means, traj.extras["config"].tolerances.mono)
+    for key, got in (("E", E), ("D", D), ("work", np.cumsum(work))):
         assert np.array_equal(series[key], got)
+    assert uni == series["unidirectional"]
+    # the check reads that series instead of recomputing it
+    rep = discrete_edi_check(traj)
+    assert rep.E is series["E"] and rep.work_cum is series["work"]
 
 
 def test_edi_requires_weak_mode():
@@ -534,6 +544,7 @@ def test_edi_series_path_matches_snapshot_recomputation():
     f = Forcing(profile=lambda x: np.cos(np.pi * x),
                 factor=CallableFactor(lambda t: math.sin(2 * math.pi * t)))
     full = run_weak(_weak_config(K=20, forcing=f))
+    del full.extras["edi_series"]
     strided = run_weak(_weak_config(K=20, forcing=f, output_stride=5))
     recomputed = discrete_edi_check(full)
     from_series = discrete_edi_check(strided)
@@ -552,6 +563,7 @@ def test_edi_recompute_path_uses_configured_mono_tolerance():
     traj.snapshots[5].chi_t[10] = 1e-8
     assert traj.extras["edi_series"]["unidirectional"]
     assert uedi_check(traj).unidirectional
+    del traj.extras["edi_series"]
     rep = discrete_edi_check(traj)
     assert rep.D_inst.size == len(traj)      # the recompute path ran
     assert rep.unidirectional

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from damage_sim.model import make_potential
 from damage_sim.regularization import (
+    _BUMP_MASS,
+    _bump_raw,
     graph_indicator_box,
     graph_indicator_halfline,
     graph_quadratic,
@@ -42,6 +44,24 @@ def test_mollifier_mass_support_evenness():
     c_hat, _ = quad(lambda z: abs(float(m.drho(np.array([z]))[0])), -1, 1,
                     epsabs=1e-12, epsrel=1e-12, limit=200)
     assert m.c_hat == pytest.approx(c_hat, rel=1e-8)
+
+
+def test_moment_tables_match_quadrature():
+    assert quad(_bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14)[0] \
+        == _BUMP_MASS
+    m = standard_mollifier()
+    w = np.random.default_rng(0).uniform(-1.0, 1.0, 60)
+    # quad meets these points to about 2e-16 (against 30-digit mpmath);
+    # asked for 1e-14 it warns of round-off on some of them
+    for k, table in enumerate((m.cum_F, m.cum_G, m.cum_H)):
+        want = [quad(lambda z: float(m.rho(np.array([z]))[0]) * z**k, -1.0, x,
+                     epsabs=3e-14, epsrel=3e-14, limit=200)[0] for x in w]
+        assert np.max(np.abs(table(w) - want)) <= 1e-14, k
+    assert m.cum_F(-1.0) == 0.0 and m.cum_F(1.0) == 1.0
+    F, G, H = m.moments(np.array([-2.0, -1.0, 1.0, 2.0, np.nan, 0.5]), 3)
+    assert list(F[:4]) == [0.0, 0.0, 1.0, 1.0]
+    for moment in (F, G, H):
+        assert np.isnan(moment[4]) and np.isfinite(moment[5])
 
 
 # ---------------------------------------------------------------------------
