@@ -140,11 +140,9 @@ def _run_compare_mode(config, outdir):
     write_json(os.path.join(outdir, "surrogate_run_report.json"),
                strong_traj.run_report())
     files = ["surrogate_run_report.json"]
-    wcum = np.concatenate([[0.0], np.cumsum(
-        0.5 * np.diff(rep.times) * (rep.W[1:] + rep.W[:-1]))])
     write_csv(os.path.join(outdir, "relative.csv"),
               ["t", "R", "W_cum", "K", "rhs", "slack"],
-              [rep.times, rep.R, wcum, rep.K, rep.rhs, rep.slack])
+              [rep.times, rep.R, rep.W_cum, rep.K, rep.rhs, rep.slack])
     files.append("relative.csv")
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -429,6 +429,7 @@ class RelativeReport:
     times: np.ndarray
     R: np.ndarray
     W: np.ndarray
+    W_cum: np.ndarray          # int_0^t W by the trapezoid rule
     K: np.ndarray
     coupling: np.ndarray
     rhs: np.ndarray
@@ -504,40 +505,36 @@ def rei_check(traj: Trajectory, ref_traj: Trajectory, c_rei: float = 1.0,
         half_dt = 0.5 * (times[k] - times[k - 1])
         integral[k] = decay * (integral[k - 1] + half_dt * g[k - 1]) + half_dt * g[k]
     slack = rhs - R - integral
-    return RelativeReport(times=times, R=R, W=W, K=Kv, coupling=cpl, rhs=rhs,
+    return RelativeReport(times=times, R=R, W=W, W_cum=_cumtrapz(W, times),
+                          K=Kv, coupling=cpl, rhs=rhs,
                           slack=slack, sup_R=float(np.max(R)),
                           sign_ok=sign_ok, feasible=feasible, c_rei=c_rei,
                           tol=tol)
 
 
-def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory,
-                    form: str = "envelope", c_lo: float = 1e-8,
-                    c_hi: float = 1e8, iters: int = 60) -> float:
+# bracket of C_REI and bisection count of calibrate_c_rei
+_C_LO, _C_HI, _C_BISECTIONS = 1e-8, 1e8, 60
+
+
+def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory) -> float:
     """Smallest C_REI making the envelope of the relative energy inequality,
     R(t) <= R(0) exp(C int K_hat), hold on a trusted pair; the test is
-    monotone in C.  ``form`` must be "envelope", the only form whose
-    feasibility depends on C."""
-    if form != "envelope":
-        raise ValueError(f"unknown calibration form {form!r}")
-    ops, mat, pot = traj.ops, traj.material, traj.potential
-    times = traj.time_array()
-    refs = _align(traj, ref_traj)
-    R = np.array([relative_energy(s, r, mat, pot, ops)
-                  for s, r in zip(traj.snapshots, refs)])
-    Khat = np.array([kappa(r, mat, pot, ops, 1.0) for r in refs])
-    cumK = _cumtrapz(Khat, times)
+    monotone in C, and K is linear in it, so R and K_hat are read from
+    ``rei_check`` at C_REI = 1."""
+    rep = rei_check(traj, ref_traj, c_rei=1.0)
+    R, cumK = rep.R, _cumtrapz(rep.K, rep.times)
     if R[0] <= 0.0:
         raise ValueError("calibration needs R(0) > 0 (perturbed initial data)")
 
     def feasible(c):
         return bool(np.all(R <= R[0] * np.exp(c * cumK) * (1.0 + 1e-12)))
 
-    if feasible(c_lo):
-        return c_lo
-    if not feasible(c_hi):
+    lo, hi = _C_LO, _C_HI
+    if feasible(lo):
+        return lo
+    if not feasible(hi):
         raise ValueError("relative energy inequality infeasible for any C_REI")
-    lo, hi = c_lo, c_hi
-    for _ in range(iters):
+    for _ in range(_C_BISECTIONS):
         mid = math.sqrt(lo * hi)
         if feasible(mid):
             hi = mid

@@ -542,8 +542,7 @@ def run_strong(config: ScenarioConfig):
         traj.append(Snapshot(
             t=state.t, u=u, v=v, chi=state.chi.copy(),
             chi_t=state.chi_t.copy(), omega=state.omega.copy(),
-            omega_t=state.omega_t.copy(), u_modal=state.c.copy(),
-            v_modal=state.cdot.copy()))
+            omega_t=state.omega_t.copy(), u_modal=state.c.copy()))
         return psi
 
     record(state)

@@ -196,25 +196,21 @@ class Snapshot:
     omega: Optional[np.ndarray] = None
     omega_t: Optional[np.ndarray] = None
     u_modal: Optional[np.ndarray] = None
-    v_modal: Optional[np.ndarray] = None
 
 
 @dataclass
 class StepReport:
     step: int
     inner_iterations: int = 0   # strong stage outer iterations; 0 in weak mode
-    objective_decrease: float = 0.0
     kkt_residual: float = 0.0
     active_count: int = 0
     linear_residual: float = 0.0
     newton_iterations: int = 0
-    wall_time: float = 0.0   # in-memory only, never serialized
 
     def to_dict(self) -> dict:
         return {
             "step": self.step,
             "inner_iterations": self.inner_iterations,
-            "objective_decrease": self.objective_decrease,
             "kkt_residual": self.kkt_residual,
             "active_count": self.active_count,
             "linear_residual": self.linear_residual,
@@ -272,7 +268,6 @@ class Trajectory:
             chi_t=mix(s0.chi_t, s1.chi_t), omega=mix(s0.omega, s1.omega),
             omega_t=mix(s0.omega_t, s1.omega_t),
             u_modal=mix(s0.u_modal, s1.u_modal),
-            v_modal=mix(s0.v_modal, s1.v_modal),
         )
 
     def restrict_space(self, coarse_mesh: Mesh1D, coarse_ops: Operators) -> "Trajectory":

@@ -30,13 +30,16 @@ iteration on the reduced tridiagonal system, and by nothing else.  It
 converges locally, so it is started from the predictor
 clip(chi^{k-1} + tau chi_t^{k-1}, lo, chi^{k-1}), lo the lower end of the
 convex part's domain: that places a receding damage front near its new
-position instead of at its old one.  An iteration that stalls, cycles or
+position instead of at its old one.  Its KKT test is the natural residual
+of the bound-constrained system it solves, whose bounds are lo, on which a
+node may rest, and the obstacle.  An iteration that stalls, cycles or
 reaches its cap of N steps raises DamageSolveError, which run_weak hands on
-with the failed step and the partial trajectory.  Positivity of chi is
-never imposed: when the degradation coefficient a is nondecreasing, convex,
-and vanishes on the negative axis, the minimizer is automatically
-nonnegative, and the truncation consistency check verifies that after the
-fact.
+with the failed step and the partial trajectory.  A step reports its Newton
+steps, its KKT residual and its active-set size; it never evaluates P.
+Positivity of chi is never imposed: when the degradation coefficient a is
+nondecreasing, convex, and vanishes on the negative axis, the minimizer is
+automatically nonnegative, and the truncation consistency check verifies
+that after the fact.
 
 The reduced Newton systems and the momentum system are tridiagonal and go
 straight to LAPACK (?gtsv and ?ptsv).  The energy, dissipation and work of
@@ -47,7 +50,6 @@ evaluated on the buffered snapshots of BLOCK steps at a time.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,8 +116,7 @@ class DamageSubproblem:
     S: np.ndarray              # banded stiffness
     load: np.ndarray           # trapezoid elastic load l_i >= 0
     drift: np.ndarray          # w_i * Wcheck'(chi^{k-1}_i)
-    upper: np.ndarray          # obstacle chi^{k-1}
-    chi_prev: np.ndarray
+    chi_prev: np.ndarray       # chi^{k-1}, also the obstacle
     material: MaterialLaw
     potential: PotentialSplit
 
@@ -146,26 +147,17 @@ class DamageSubproblem:
 
     def objective(self, chi) -> float:
         """Full functional P (inf outside the domain of the convex part)."""
-        if np.any(chi > self.upper + 1e-14):
+        if np.any(chi > self.chi_prev + 1e-14):
             return math.inf
         bs = self.breve_sum(chi)
         if not np.isfinite(bs):
             return math.inf
         return self.smooth_value(chi) + bs
 
-    def prox_project(self, z, eta) -> np.ndarray:
-        """prox of eta * (sum w_i Wbreve + obstacle indicator) at z."""
-        y = self.graph.prox(eta * self.w, z)
-        return np.minimum(y, self.upper)
-
-    def kkt_residual(self, chi, eta) -> float:
-        step = self.prox_project(chi - eta * self.smooth_grad(chi), eta)
-        return float(np.max(np.abs(chi - step)) / eta)
-
     def lipschitz_guess(self) -> float:
         """Bound on the curvature of the smooth part per unit nodal weight:
         the least complementarity constant of the active-set test and the
-        inverse step of the KKT residual."""
+        scale of the KKT residual."""
         h = 2.0 * float(np.min(self.w))
         base = float(np.max(self.w)) / self.tau + 4.0 / h
         a = self.material.a
@@ -183,7 +175,7 @@ def assemble_damage_subproblem(ops: Operators, material: MaterialLaw,
     drift = ops.w * (-potential.ell * chi_prev)
     return DamageSubproblem(
         tau=tau, w=ops.w, S=ops.S, load=load, drift=drift,
-        upper=chi_prev.copy(), chi_prev=chi_prev.copy(),
+        chi_prev=chi_prev.copy(),
         material=material, potential=potential,
     )
 
@@ -211,31 +203,24 @@ def damage_step(sub: DamageSubproblem, tol_inner: float = 1e-10,
     recedes by about one node per side and step.  If it stops above
     ``tol_inner`` (stalled, cycling or capped) DamageSolveError is raised
     with the KKT residual.  The convex part needs a derivative or
-    piecewise-affine data.  The reported objective decrease is measured
-    from chi^{k-1} whatever the start.
+    piecewise-affine data.
     """
     graph = sub.graph
     if graph.derivative is None and graph.pw_jumps is None:
         raise ValueError(f"convex part {graph.name!r} has neither a "
                          "derivative nor piecewise-affine data")
-    t_start = time.perf_counter()
-    obj0 = sub.objective(sub.chi_prev)
     x = sub.chi_prev if start is None else start
-    x, newton_iters, kkt = _active_set_newton(sub, x, tol_inner,
-                                              sub.lipschitz_guess())
+    chi, newton_iters, kkt = _active_set_newton(sub, x, tol_inner,
+                                                sub.lipschitz_guess())
     if kkt > tol_inner:
         raise DamageSolveError(
             f"damage minimization stopped after {newton_iters} Newton steps "
             f"at KKT residual {kkt:.3e}")
-
-    chi = np.minimum(x, sub.upper)   # tolerance-level feasibility snap
     return chi, StepReport(
         step=-1,
         newton_iterations=newton_iters,
-        objective_decrease=obj0 - sub.objective(chi),
         kkt_residual=kkt,
-        active_count=int(np.sum(sub.upper - chi <= 1e-12)),
-        wall_time=time.perf_counter() - t_start,
+        active_count=int(np.sum(sub.chi_prev - chi <= 1e-12)),
     )
 
 
@@ -246,17 +231,19 @@ def _active_set_newton(sub: DamageSubproblem, x: np.ndarray, tol: float,
     stalled step, or when an active set other than the last one recurs
     (cycling).
 
-    Iterates stay in the domain of the convex part.  A node goes to a
-    bound when chi - R/c crosses it, R its residual and c its
-    complementarity constant: ``scale``, or where larger the curvature of
-    the convex part at the node.  A steep barrier (the logarithmic
-    potential near 0) then does not send a node from one bound to the
-    other and back.
+    Iterates stay in the domain of the convex part and below the obstacle
+    chi^{k-1}: between the bounds lb and ub.  A node goes to a bound when
+    chi - R/c crosses it, R its residual and c its complementarity
+    constant: ``scale``, or where larger the curvature of the convex part
+    at the node.  A steep barrier (the logarithmic potential near 0) then
+    does not send a node from one bound to the other and back.  The KKT
+    residual is the natural residual scale * |chi - clip(chi - R/scale)|,
+    taken after each step; its R feeds the next step's active-set test.
     """
     graph = sub.graph
     lo, hi = graph.domain
     lb = np.full(x.size, lo)
-    ub = np.minimum(sub.upper, hi)
+    ub = np.minimum(sub.chi_prev, hi)
     has_smooth = graph.derivative is not None
 
     def residual(c):
@@ -264,10 +251,9 @@ def _active_set_newton(sub: DamageSubproblem, x: np.ndarray, tol: float,
         return R + sub.w * graph.minimal_section(c) if has_smooth else R
 
     chi = np.clip(x, lb, ub)
-    kkt = math.inf
+    R = residual(chi)
     seen, last = set(), None
     for it in range(1, x.size + 1):
-        R = residual(chi)
         c = (np.maximum(scale, sub.w * graph.derivative(chi)) if has_smooth
              else scale)
         act_up = (-R + c * (chi - ub)) > 0.0
@@ -301,7 +287,9 @@ def _active_set_newton(sub: DamageSubproblem, x: np.ndarray, tol: float,
         stalled = (np.max(np.abs(chi_new - chi))
                    <= 1e-16 * (1.0 + np.max(np.abs(chi))))
         chi = chi_new
-        kkt = sub.kkt_residual(chi, 1.0 / scale)
+        R = residual(chi)
+        projected = np.clip(chi - R / scale, lb, ub)
+        kkt = scale * float(np.max(np.abs(chi - projected)))
         if stalled or kkt <= tol:
             break
     return chi, it, kkt

@@ -57,7 +57,7 @@ def kkt_enumeration(sub, slope=1.0, center=0.0, a_kind="linear", a_scale=1.0):
     n = sub.chi_prev.size
     S = banded_to_dense(sub.S)
     w = sub.w
-    upper = sub.upper
+    upper = sub.chi_prev
     base_diag = w / sub.tau + w * slope
     candidates = []
     sign_patterns = ([None] if a_kind == "linear"

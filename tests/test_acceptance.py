@@ -297,7 +297,7 @@ def test_criterion_10_gronwall_envelope():
         pert = (lambda e: lambda x: base_chi(x)
                 + e * math.sqrt(2.0) * np.cos(np.pi * x))(eps)
         runs[eps] = weak_run(pert)
-    c = calibrate_c_rei(runs[1e-2], ref, form="envelope")
+    c = calibrate_c_rei(runs[1e-2], ref)
     ok = True
     margins = {}
     for eps in (1e-2, 1e-3):

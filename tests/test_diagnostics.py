@@ -520,16 +520,9 @@ def test_calibrated_envelope_transfers_to_smaller_perturbation():
         pert_chi = (lambda e: lambda x: base_chi(x)
                     + e * math.sqrt(2.0) * np.cos(np.pi * x))(eps)
         runs[eps] = run_weak(_weak_config(forcing=f, chi0=pert_chi))
-    c = calibrate_c_rei(runs[1e-2], ref, form="envelope")
+    c = calibrate_c_rei(runs[1e-2], ref)
     rep = rei_check(runs[1e-3], ref, c_rei=c)
     assert rep.envelope_ok(0.5)
-
-
-def test_calibrate_rejects_forms_other_than_envelope():
-    traj = run_weak(_weak_config(K=5))
-    for form in ("full", "slack", ""):
-        with pytest.raises(ValueError, match="form"):
-            calibrate_c_rei(traj, traj, form=form)
 
 
 def test_calibrate_requires_perturbed_data():

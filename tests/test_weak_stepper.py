@@ -247,9 +247,9 @@ def test_damage_step_objective_monotone_and_feasible():
     u_prev = 0.3 * np.sin(2 * np.pi * ops.mesh.nodes)
     chi_prev = np.clip(0.7 + 0.2 * rng.standard_normal(21), 0.05, 1.0)
     sub = assemble_damage_subproblem(ops, mat, pot, u_prev, chi_prev, 0.02)
-    chi, rep = damage_step(sub)
+    chi, _ = damage_step(sub)
     assert np.all(chi <= chi_prev + 1e-12)
-    assert rep.objective_decrease >= -1e-12
+    assert sub.objective(chi) <= sub.objective(chi_prev) + 1e-12
 
 
 def test_damage_tau_max_guard():
@@ -327,12 +327,11 @@ def test_damage_step_default_start_is_chi_prev():
         "66c0a647042c2d0bf1ecc2a4e5ce494b6afcbbb86c432d95ca35b91c021d4a97")
     chi_same, _ = damage_step(sub, start=chi_prev)
     assert np.array_equal(chi_same, chi)
-    # any feasible start reaches the same minimizer; the decrease is still
-    # measured from chi^{k-1}
-    chi_far, rep_far = damage_step(sub, start=np.full(41, 0.5))
+    # any feasible start reaches the same minimizer, to within 1e-12 in P
+    chi_far, _ = damage_step(sub, start=np.full(41, 0.5))
     assert np.max(np.abs(chi_far - chi)) <= 1e-10
-    assert rep_far.objective_decrease == pytest.approx(rep.objective_decrease,
-                                                       abs=1e-12)
+    assert sub.objective(chi_far) == pytest.approx(sub.objective(chi),
+                                                   abs=1e-12)
 
 
 def test_damage_step_front_under_load_bump():
@@ -447,6 +446,22 @@ def test_steep_log_barrier_step_completes(a):
     assert float(np.min(traj.snapshots[-1].chi)) > 0.0
 
 
+@pytest.mark.parametrize("name, potential, a, load", [
+    ("indicator_box", "logarithmic", "linear_plus", 16),
+    ("indicator_box", "logarithmic", "identity", 4),
+    ("logarithmic", "logarithmic", "identity", 16),
+])
+def test_log_barrier_nodes_rest_on_lower_end_of_domain(name, potential, a,
+                                                       load):
+    # the load drives nodes to chi = 0, the lower end of the logarithmic
+    # potential's domain; the KKT test must accept a node resting there
+    cfg = build_scenario(_grid_flat(name, potential, a, load))
+    traj = run_weak(cfg)
+    assert len(traj.step_reports) == cfg.K
+    assert max(r.kkt_residual for r in traj.step_reports) <= 1e-10
+    assert np.any(traj.snapshots[-1].chi == 0.0)
+
+
 GRID_POTENTIALS = ("quadratic", "logarithmic", "indicator_box",
                    "smooth_double_well")
 GRID_SHAPES = ("linear_plus", "quadratic_plus", "cubic_plus", "identity")
@@ -460,10 +475,8 @@ GRID_FAILURES = {
     ("logarithmic", "quadratic", "linear_plus", 16): ("Damage", 1),
     ("logarithmic", "quadratic", "identity", 4): ("Momentum", 65),
     ("logarithmic", "quadratic", "identity", 16): ("Momentum", 12),
-    ("logarithmic", "logarithmic", "linear_plus", 4): ("Damage", 10),
-    ("logarithmic", "logarithmic", "linear_plus", 16): ("Damage", 1),
-    ("logarithmic", "logarithmic", "identity", 4): ("Damage", 10),
-    ("logarithmic", "logarithmic", "identity", 16): ("Damage", 1),
+    ("logarithmic", "logarithmic", "linear_plus", 4): ("Damage", 12),
+    ("logarithmic", "logarithmic", "identity", 4): ("Damage", 12),
     ("logarithmic", "smooth_double_well", "linear_plus", 4): ("Damage", 8),
     ("logarithmic", "smooth_double_well", "linear_plus", 16): ("Damage", 1),
     ("logarithmic", "smooth_double_well", "identity", 16): ("Momentum", 38),
@@ -472,21 +485,16 @@ GRID_FAILURES = {
     ("indicator_box", "quadratic", "linear_plus", 16): ("Damage", 1),
     ("indicator_box", "quadratic", "identity", 4): ("Momentum", 34),
     ("indicator_box", "quadratic", "identity", 16): ("Momentum", 6),
-    ("indicator_box", "logarithmic", "linear_plus", 4): ("Damage", 3),
-    ("indicator_box", "logarithmic", "linear_plus", 16): ("Damage", 1),
-    ("indicator_box", "logarithmic", "identity", 4): ("Damage", 3),
-    ("indicator_box", "logarithmic", "identity", 16): ("Damage", 1),
     ("indicator_box", "smooth_double_well", "linear_plus", 4): ("Damage", 3),
     ("indicator_box", "smooth_double_well", "linear_plus", 16): ("Damage", 1),
-    ("indicator_box", "smooth_double_well", "identity", 4): ("Momentum", 82),
+    ("indicator_box", "smooth_double_well", "identity", 4): ("Damage", 82),
     ("indicator_box", "smooth_double_well", "identity", 16): ("Momentum", 25),
     ("strong_damage", "quadratic", "linear_plus", 1): ("Damage", 57),
     ("strong_damage", "quadratic", "linear_plus", 4): ("Damage", 2),
     ("strong_damage", "quadratic", "linear_plus", 16): ("Damage", 1),
-    ("strong_damage", "logarithmic", "linear_plus", 4): ("Damage", 2),
-    ("strong_damage", "logarithmic", "linear_plus", 16): ("Damage", 1),
-    ("strong_damage", "logarithmic", "identity", 4): ("Damage", 4),
-    ("strong_damage", "logarithmic", "identity", 16): ("Damage", 1),
+    ("strong_damage", "logarithmic", "linear_plus", 16): ("Damage", 67),
+    ("strong_damage", "logarithmic", "identity", 4): ("Damage", 48),
+    ("strong_damage", "logarithmic", "identity", 16): ("Damage", 30),
     ("strong_damage", "smooth_double_well", "linear_plus", 4): ("Damage", 2),
     ("strong_damage", "smooth_double_well", "linear_plus", 16): ("Damage", 1),
 }
