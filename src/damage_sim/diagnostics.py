@@ -392,16 +392,14 @@ def relative_energy(snap: Snapshot, ref: Snapshot, material: MaterialLaw,
 
 
 def relative_dissipation(snap: Snapshot, ref: Snapshot, material: MaterialLaw,
-                         ops: Operators, tol_mono: float = 1e-10):
+                         ops: Operators) -> float:
     """Relative dissipation W(state | reference) with hard-zeroed indicator
-    terms; returns (value, feasible)."""
+    terms; the feasibility of the rates is judged by ``rei_check``."""
     dv = snap.v - ref.v
     eps = ops.strain(dv)
     be = ops.element_mean(material.b(snap.chi))
-    val = (float(np.dot(ops.w, (snap.chi_t - ref.chi_t) ** 2))
-           + float(np.sum(be * material.V * eps**2) * ops.mesh.h))
-    feasible = bool(max(np.max(snap.chi_t), np.max(ref.chi_t)) <= tol_mono)
-    return val, feasible
+    return (float(np.dot(ops.w, (snap.chi_t - ref.chi_t) ** 2))
+            + float(np.sum(be * material.V * eps**2) * ops.mesh.h))
 
 
 def kappa(ref: Snapshot, material: MaterialLaw, potential: PotentialSplit,
@@ -486,8 +484,7 @@ def rei_check(traj: Trajectory, ref_traj: Trajectory, c_rei: float = 1.0,
     mono_r = _mono_tol(ref_traj)
     for k, (s, r) in enumerate(zip(traj.snapshots, refs)):
         R[k] = relative_energy(s, r, mat, pot, ops)
-        wv, _ = relative_dissipation(s, r, mat, ops)
-        W[k] = wv
+        W[k] = relative_dissipation(s, r, mat, ops)
         feasible &= bool(np.max(s.chi_t) <= mono_s)
         feasible &= bool(np.max(r.chi_t) <= mono_r)
         Kv[k] = kappa(r, mat, pot, ops, c_rei)

@@ -239,7 +239,11 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
             rc = _clip(r)
             return 1.0 / rc + 1.0 / (1.0 - rc)
 
-        graph = graph_smooth("log_barrier", _d1, _d2, potential=_val,
+        def _d3(r):
+            rc = _clip(r)
+            return 1.0 / (1.0 - rc) ** 2 - 1.0 / rc**2
+
+        graph = graph_smooth("log_barrier", _d1, _d2, _d3, potential=_val,
                              domain=(0.0, 1.0), anchor=0.5)
         return PotentialSplit(graph, 2.0 * c1, name="logarithmic")
 
@@ -267,7 +271,11 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
             r = _arr(r)
             return 3.0 * k * (2.0 * r - 1.0) ** 2
 
-        graph = graph_smooth("double_well_convex", _d1, _d2, potential=_val,
+        def _d3(r):
+            r = _arr(r)
+            return 12.0 * k * (2.0 * r - 1.0)
+
+        graph = graph_smooth("double_well_convex", _d1, _d2, _d3, potential=_val,
                              domain=(-math.inf, math.inf), anchor=0.0)
         return PotentialSplit(graph, k, name="smooth_double_well")
 

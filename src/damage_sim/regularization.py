@@ -30,10 +30,12 @@ kernel moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz, whose
 tables are evaluated only at points that see a kink inside the kernel
 support (|w| < 1); every other point takes their exact end values, so a
 call costs a few array operations per kink.  Affine Yosida functions pass
-through mollification unchanged; everything else (the smooth graphs of the
-logarithmic and double-well potentials) is one Gauss-Legendre broadcast over
-points x support segments x 64 nodes, the support [-1, 1] cut at every kink,
-so the Yosida approximation (and its prox) is evaluated once per call.
+through mollification unchanged.  The smooth graphs (the convex parts of the
+logarithmic and double-well potentials) go through one 6-point Gauss rule
+with weight rho (nodes z_j, weights w_j) and the chain rule through one prox
+call: with J_j = J_delta(x - delta^2 z_j) and b_j = 1 + delta beta'(J_j),
+beta_delta' = sum_j w_j beta'(J_j) / b_j and beta_delta'' = sum_j w_j
+beta''(J_j) / b_j^3, so no sign-changing kernel is integrated.
 ``eval_all`` remembers its last argument and result, because the strong
 solver asks again for the iterate it has just evaluated.  The anchored
 potential needs no integral over x: beta_Y_delta is the derivative of the
@@ -41,21 +43,21 @@ Moreau envelope e_delta, so beta_delta is the derivative of rho_delta * e_delta,
 and each point's value is that mollified envelope at the point minus its
 value at the anchor.  The envelope is quadratic for affine Yosida functions,
 piecewise quadratic for piecewise-affine ones (closed form with the third
-moment H(w) = int_{-1}^w z^2 rho(z) dz), and goes through the same
-Gauss-Legendre broadcast, with rho alone, for the smooth graphs.
+moment H(w) = int_{-1}^w z^2 rho(z) dz), and goes through the same Gauss
+rule for the smooth graphs.
 
-The standard mollifier's moment tables are built with numpy alone: the
+The standard mollifier is built with numpy alone: the moment tables by the
 endpoint-corrected trapezoid rule (Euler-Maclaurin) on a uniform grid of
 8,193 nodes, evaluated by cubic Hermite interpolation with the exact slopes
-(Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
-Only the Gauss-Legendre table of the smooth graphs imports scipy.special,
-on first use.
+(Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984), and
+the Gauss rule from the discrete measure rho(z_i) on the same grid (Golub &
+Welsch, Math. Comp. 23, 1969; Gautschi, Orthogonal Polynomials, 2004).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,17 +80,8 @@ __all__ = [
     "make_I_delta",
 ]
 
-# Points per broadcast of the quadrature path, which expands each point into
-# 64 nodes per support segment: bounds the size of the temporaries.
-_QUADRATURE_BLOCK = 256
-
-
-@cache
-def _gauss_legendre_64():
-    """Nodes and weights of 64-point Gauss-Legendre on [-1, 1], built once."""
-    from scipy.special import roots_legendre
-
-    return roots_legendre(64)
+# Points of the Gauss rule with weight rho that mollifies the smooth graphs.
+_RULE_POINTS = 6
 
 
 class ProxError(RuntimeError):
@@ -112,8 +105,8 @@ class MonotoneGraph:
     minimal_section : callable or None
         The minimal-norm selection beta^o(x) (nan outside the domain of
         beta); for smooth single-valued graphs this is beta itself.
-    derivative : callable or None
-        beta' for single-valued smooth graphs only.
+    derivative, second_derivative : callable or None
+        beta' and beta'' for single-valued smooth graphs only.
     kinks : tuple of float
         Nonsmooth points of the Yosida approximation (independent of delta
         for indicator-type graphs).
@@ -131,6 +124,7 @@ class MonotoneGraph:
     potential: Optional[Callable] = None
     minimal_section: Optional[Callable] = None
     derivative: Optional[Callable] = None
+    second_derivative: Optional[Callable] = None
     kinks: tuple = ()
     domain: tuple = (-np.inf, np.inf)
     anchor: float = 0.0
@@ -213,11 +207,13 @@ def graph_smooth(
     name: str,
     fn: Callable,
     dfn: Callable,
+    d2fn: Callable,
     potential: Optional[Callable] = None,
     domain: tuple = (-np.inf, np.inf),
     anchor: float = 0.0,
 ) -> MonotoneGraph:
-    """Graph of a smooth increasing function beta = fn with beta' = dfn.
+    """Graph of a smooth increasing function beta = fn with beta' = dfn and
+    beta'' = d2fn.
 
     The prox rule is a safeguarded vectorized Newton iteration on
     y + lam * fn(y) = x restricted to the open domain.  Each point leaves the
@@ -285,6 +281,7 @@ def graph_smooth(
         potential=potential,
         minimal_section=fn,
         derivative=dfn,
+        second_derivative=d2fn,
         domain=domain,
         anchor=anchor,
     )
@@ -325,20 +322,22 @@ def _bump_raw(z):
 class Mollifier:
     """Smooth even kernel with unit mass and support in [-1, 1].
 
-    Carries the derivative kernels and the interpolated tables of the
+    Carries the derivative kernel, the interpolated tables of the
     cumulative moments F(w) = int_{-1}^w rho, G(w) = int_{-1}^w z rho(z) dz
     and H(w) = int_{-1}^w z^2 rho(z) dz used by the closed-form
     mollification of piecewise-affine functions (F and G) and of their
-    piecewise-quadratic Moreau envelopes (all three).
+    piecewise-quadratic Moreau envelopes (all three), and the Gauss rule
+    with weight rho (``nodes``, ``weights``) for smooth functions.
     """
 
     rho: Callable
     drho: Callable
-    d2rho: Callable
     c_hat: float                 # ||rho'||_L1
     cum_F: Callable = field(repr=False)
     cum_G: Callable = field(repr=False)
     cum_H: Callable = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @cached_property
     def _ends(self):
@@ -389,6 +388,22 @@ def _hermite(z, y, slope):
     return evaluate
 
 
+def _gauss_rule(z, mu, n):
+    """Nodes and weights of the n-point Gauss rule of the even discrete
+    measure mu (unit mass) on z: the Stieltjes procedure for the recurrence
+    p_{k+1} = z p_k - b_k p_{k-1}, b_k = |p_k|^2 / |p_{k-1}|^2 (no diagonal
+    term, mu being even), then the eigenpairs of its Jacobi matrix."""
+    p_prev, p = np.zeros_like(z), np.ones_like(z)
+    norms = [1.0]
+    for k in range(n - 1):
+        b = norms[k] / norms[k - 1] if k else 0.0
+        p_prev, p = p, z * p - b * p_prev
+        norms.append(float(np.dot(mu, p * p)))
+    off = np.sqrt(np.array(norms[1:]) / np.array(norms[:-1]))
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
+
+
 # Mass of the raw bump, as adaptive quadrature to 1e-14 gives it: rho's bits,
 # and tests that sit at round-off, depend on its last digit.
 _BUMP_MASS = 0.4439938161680793
@@ -409,17 +424,6 @@ def _build_standard_mollifier() -> Mollifier:
         out[inside] = c * np.exp(-1.0 / om) * (-2.0 * zi / om**2)
         return out
 
-    def d2rho(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        zi = z[inside]
-        om = 1.0 - zi * zi
-        out[inside] = c * np.exp(-1.0 / om) * (
-            4.0 * zi * zi / om**4 - 2.0 / om**2 - 8.0 * zi * zi / om**3
-        )
-        return out
-
     # |rho'| integrates to 2 rho(0): rho increases on (-1,0), decreases after
     c_hat = 2.0 * float(rho(np.array([0.0]))[0])
 
@@ -435,12 +439,14 @@ def _build_standard_mollifier() -> Mollifier:
 
     F = cumulative(r, dr)
     zr, zzr = z * r, z * z * r
+    nodes, weights = _gauss_rule(z, r / np.sum(r), _RULE_POINTS)
     # F(1) = 1 exactly; its slopes scale with it
-    return Mollifier(rho=rho, drho=drho, d2rho=d2rho, c_hat=c_hat,
+    return Mollifier(rho=rho, drho=drho, c_hat=c_hat,
                      cum_F=_hermite(z, F / F[-1], r / F[-1]),
                      cum_G=_hermite(z, cumulative(zr, r + z * dr), zr),
                      cum_H=_hermite(z, cumulative(zzr, 2.0 * zr + z * z * dr),
-                                    zzr))
+                                    zzr),
+                     nodes=nodes, weights=weights)
 
 
 _STANDARD_MOLLIFIER: Optional[Mollifier] = None
@@ -528,36 +534,17 @@ class RegularizedFunction:
                 if inside.any():
                     d2[inside] += s * m.rho(w[inside]) / (d * d)
             return v, d1, d2
-        rad = d * d
-        v, d1, d2 = self._quadrature(lambda y: g.yosida(d, y),
-                                     (m.rho, m.drho, m.d2rho), xs)
-        return v, d1 / rad, d2 / rad**2
+        y = self._rule_points(xs)
+        j = g.prox(d, y)
+        slope = g.derivative(j)
+        b = 1.0 + d * slope
+        return [np.sum(m.weights * f, axis=-1) for f in
+                ((y - j) / d, slope / b, g.second_derivative(j) / b**3)]
 
-    def _quadrature(self, fn, kernels, xs):
-        """int k(z) fn(x - delta^2 z) dz for each kernel k at the points xs.
-
-        Gauss-Legendre 64 on each segment of the kernel support [-1, 1] cut
-        at every kink, broadcast over points x segments x nodes in blocks of
-        ``_QUADRATURE_BLOCK`` points, so fn runs once per block; a kink
-        outside the support clips to -1 or 1 and gives a zero-length segment,
-        which adds exactly 0.
-        """
-        nodes, weights = _gauss_legendre_64()
-        rad = self.delta * self.delta
-        kinks = np.asarray(self.graph.kinks, dtype=float)
-        flat = xs.ravel()
-        parts = []
-        for i in range(0, max(flat.size, 1), _QUADRATURE_BLOCK):
-            b = flat[i:i + _QUADRATURE_BLOCK, None]
-            w = np.clip((b - kinks) / rad, -1.0, 1.0)
-            cuts = np.sort(np.pad(w, [(0, 0), (1, 1)],
-                                  constant_values=(-1.0, 1.0)), axis=-1)
-            half = 0.5 * np.diff(cuts, axis=-1)[..., None]
-            z = 0.5 * (cuts[:, :-1] + cuts[:, 1:])[..., None] + half * nodes
-            wf = half * weights * fn(b[..., None] - rad * z)
-            parts.append([np.sum(np.sum(k(z) * wf, axis=-1), axis=-1)
-                          for k in kernels])
-        return [np.concatenate(p).reshape(xs.shape) for p in zip(*parts)]
+    def _rule_points(self, xs):
+        """xs - delta^2 z_j, shaped xs.shape + (nodes,).  Sums over the last
+        axis, not a BLAS product, keep each point's bits its own."""
+        return xs[..., None] - self.delta**2 * self.mollifier.nodes
 
     def eval_all(self, x):
         """Return (beta_delta, beta_delta', beta_delta'') at x.
@@ -594,8 +581,8 @@ class RegularizedFunction:
         b0/2 x^2 + sum_i s_i/2 max(x - k_i, 0)^2, whose mollification is
         closed form in F, G and H:
             b0/2 x^2 + sum_i s_i/2 [u^2 F(w) - 2 r u G(w) + r^2 H(w)],
-        with u = x - k_i, r = delta^2 and w = u / r.  Any other envelope
-        (prox plus the graph's potential) goes through the quadrature.
+        with u = x - k_i, r = delta^2 and w = u / r.  A smooth graph's
+        envelope (prox plus potential) goes through the Gauss rule.
         """
         g, d, m = self.graph, self.delta, self.mollifier
         if g.affine_yosida is not None:
@@ -610,7 +597,8 @@ class RegularizedFunction:
                 c += 0.5 * jump / d * (u * u * F - 2.0 * rad * u * G
                                        + rad * rad * H)
             return c
-        return self._quadrature(self._envelope, (m.rho,), xs)[0]
+        return np.sum(m.weights * self._envelope(self._rule_points(xs)),
+                      axis=-1)
 
     def potential_on_grid(self, xs):
         """Anchored convex potential envelope(x0) + int_{x0}^x beta_delta at
@@ -634,6 +622,10 @@ def regularize(graph: MonotoneGraph, delta: float) -> RegularizedFunction:
     """Plain mollified-Yosida regularization (no normalization shifts)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if (graph.affine_yosida is None and graph.pw_jumps is None
+            and None in (graph.derivative, graph.second_derivative)):
+        raise ValueError(f"graph {graph.name!r} is neither affine, nor "
+                         "piecewise affine, nor smooth with both derivatives")
     return RegularizedFunction(graph=graph, delta=delta,
                                mollifier=standard_mollifier())
 

@@ -174,33 +174,55 @@ def modal_exact_solution(lam, V, C, c0, cdot0, t, forcing_const=0.0):
     return c + part, cd
 
 
+def _sums(terms):
+    """Each row's sum and the sum of its absolute values."""
+    return [np.sum(t) for t in terms], [np.sum(np.abs(t)) for t in terms]
+
+
 def mollified_yosida_pointwise(reg, xs):
-    """(value, d1, d2) of reg.eval_all at the points xs by one Gauss-Legendre
-    64 convolution per point and per segment of the kernel support [-1, 1]
-    split at the kinks inside it (the point-by-point form of the smoothed
-    Yosida quadrature), and the rounding scale of each: the same sums taken
-    over absolute values."""
+    """(value, d1, d2) of reg.eval_all of a smooth graph at the points xs, one
+    point at a time, by the mollifier's Gauss rule: the Yosida approximation
+    and its first two derivatives by the chain rule through the prox at the
+    rule's points; and the rounding scale of each: the same sums taken over
+    absolute values."""
     g, d, m = reg.graph, reg.delta, reg.mollifier
-    nodes, weights = roots_legendre(64)
-    rad = d * d
     xs = np.asarray(xs, dtype=float) - reg.shift
     out = np.zeros((2, 3, xs.size))
     for i, x in enumerate(xs):
-        cuts = [-1.0, 1.0]
-        for k in g.kinks:
-            w = (x - k) / rad
-            if -1.0 < w < 1.0:
-                cuts.append(w)
-        cuts = sorted(cuts)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            half = 0.5 * (b - a)
-            z = 0.5 * (a + b) + half * nodes
-            wz = half * weights
-            by = g.yosida(d, x - rad * z)
-            for j, kernel in enumerate((m.rho, m.drho, m.d2rho)):
-                terms = wz * kernel(z) * by / rad**j
-                out[0, j, i] += np.sum(terms)
-                out[1, j, i] += np.sum(np.abs(terms))
+        y = x - d * d * m.nodes
+        j = g.prox(d, y)
+        b1 = g.derivative(j)
+        out[:, :, i] = _sums([m.weights * g.yosida(d, y),
+                              m.weights * b1 / (1.0 + d * b1),
+                              m.weights * g.second_derivative(j)
+                              / (1.0 + d * b1) ** 3])
+    out[0, 0] -= reg.vshift
+    return tuple(out[0]), tuple(out[1])
+
+
+def _bump_d2(m, z):
+    """rho'' of the normalized bump c exp(-1/(1-z^2)): rho times
+    4z^2/o^4 - 2/o^2 - 8z^2/o^3, o = 1 - z^2 (0 outside (-1, 1))."""
+    om = np.where(np.abs(z) < 1.0, 1.0 - z * z, 1.0)
+    return m.rho(z) * (4.0 * z * z / om**4 - 2.0 / om**2 - 8.0 * z * z / om**3)
+
+
+def mollified_yosida_kernel_form(reg, xs, n=1000):
+    """(value, d1, d2) of the smoothed Yosida of a smooth graph at xs as the
+    convolutions of the Yosida approximation with rho, rho' and rho''
+    (divided by delta^2 and delta^4), each by n-point Gauss-Legendre on the
+    kernel support, one point at a time; and the rounding scale of each: the
+    same sums taken over absolute values."""
+    g, d, m = reg.graph, reg.delta, reg.mollifier
+    nodes, weights = roots_legendre(n)
+    rad = d * d
+    kernels = [weights * k / rad**p for p, k in
+               enumerate((m.rho(nodes), m.drho(nodes), _bump_d2(m, nodes)))]
+    xs = np.asarray(xs, dtype=float) - reg.shift
+    out = np.zeros((2, 3, xs.size))
+    for i, x in enumerate(xs):
+        by = g.yosida(d, x - rad * nodes)
+        out[:, :, i] = _sums([k * by for k in kernels])
     out[0, 0] -= reg.vshift
     return tuple(out[0]), tuple(out[1])
 

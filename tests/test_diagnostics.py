@@ -472,8 +472,7 @@ def test_relative_dissipation_identity_and_kappa_static():
     mat = material()
     pot = make_potential("quadratic", {"ell": 0.7})
     s = snap(N, u=np.zeros(N), chi=np.full(N, 0.5))
-    w, feas = relative_dissipation(s, s, mat, ops)
-    assert w == 0.0 and feas
+    assert relative_dissipation(s, s, mat, ops) == 0.0
     # static zero reference: K = C_REI * ell^2
     assert kappa(s, mat, pot, ops, c_rei=2.0) == pytest.approx(2.0 * 0.7**2)
 

@@ -11,6 +11,7 @@ from damage_sim.config import build_scenario, load_scenario, parse_config_text
 from damage_sim.discretization import (
     Operators,
     assemble_operators,
+    banded_matvec,
     build_mesh,
     neumann_eigenbasis,
     solve_spd_tridiag,
@@ -147,16 +148,31 @@ def test_chi_from_omega_reports_its_newton_steps(monkeypatch):
     assert info["iterations"] == len(calls) == 0
 
 
+def _round_off_floor(sops, chi, omega):
+    """chi_from_omega's round-off floor of the residual at chi:
+    4 eps |S||chi| + w (|W'(chi)| + |chi| + |omega|) in the residual norm."""
+    ops = sops.ops
+    wv = sops.reg_W.eval_all(chi)[0]
+    terms = (banded_matvec(np.abs(ops.S), np.abs(chi))
+             + ops.w * (np.abs(wv) + np.abs(chi) + np.abs(omega)))
+    return 4.0 * np.finfo(float).eps * math.sqrt(
+        np.dot(ops.w, (terms / ops.w) ** 2))
+
+
 def test_chi_from_omega_accepts_a_stall_only_at_round_off():
     # with tol_ell = 0 no residual but 0 meets the tolerance, so the solve
-    # ends where its residual stalls at the round-off of its own terms; a
-    # start away from the answer that may take no step fails
+    # ends where its residual stalls at the round-off of its own terms, a
+    # tenth of the floor it accepts or less; a start away from the answer
+    # that may take no step fails
     sops = make_sops(potential=make_potential("smooth_double_well"))
-    omega = 1.0 + 0.3 * np.cos(np.pi * sops.ops.mesh.nodes)
-    ref, _ = chi_from_omega(sops, omega)
-    chi, info = chi_from_omega(sops, omega, tol_ell=0.0)
-    assert info["residual"] <= 1e-13
-    assert np.max(np.abs(chi - ref)) <= 1e-9
+    x = sops.ops.mesh.nodes
+    for a in np.linspace(0.29, 0.31, 21):
+        omega = 1.0 + a * np.cos(np.pi * x)
+        ref, _ = chi_from_omega(sops, omega)
+        chi, info = chi_from_omega(sops, omega, tol_ell=0.0)
+        assert info["residual"] <= 0.1 * _round_off_floor(sops, chi, omega), a
+        assert np.max(np.abs(chi - ref)) <= 1e-9, a
+    omega = 1.0 + 0.3 * np.cos(np.pi * x)
     with pytest.raises(StageError, match="stalled after 0 Newton steps"):
         chi_from_omega(sops, omega, max_iter=0)
 
