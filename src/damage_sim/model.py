@@ -513,6 +513,8 @@ class ScenarioConfig:
             raise ValueError("N must be at least 3")
         if self.T <= 0:
             raise ValueError("T must be positive")
+        if self.output_stride < 1:
+            raise ValueError("output stride must be at least 1")
         _, _, chi0 = self.initial_fields(nodes)
         if np.min(chi0) < 0.0 or np.max(chi0) > 1.0:
             raise ValueError("chi0 must take values in [0, 1]")

@@ -92,11 +92,6 @@ class SpectralState:
     chi: np.ndarray
     chi_t: np.ndarray
 
-    def copy(self) -> "SpectralState":
-        return SpectralState(self.t, self.c.copy(), self.cdot.copy(),
-                             self.omega.copy(), self.omega_t.copy(),
-                             self.chi.copy(), self.chi_t.copy())
-
 
 @dataclass
 class BlowupMonitor:
@@ -338,9 +333,10 @@ def _chi_t_newton(sops: StrongOperators, B: np.ndarray, coeff: float,
 
 
 def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
-                 f_modal, tol_ode: float, max_outer: int = 40):
-    """Solve the theta-stage system m = z + dt F(m) by outer (Picard)
-    iteration in chi, started from the predictor chi + dt chi_t of the state.
+                 f_modal, tol_ode: float):
+    """Solve the theta-stage system m = z + dt F(m) by at most 40 outer
+    (Picard) iterations in chi, started from the predictor chi + dt chi_t of
+    the state.
 
     Returns (stage state, outer iterations, chi_from_omega Newton iterations
     summed over the outer iterations)."""
@@ -348,13 +344,11 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
     nu = sops.params.nu
     chi_m = state.chi + dt * state.chi_t
     chit_m = state.chi_t.copy()
-    v_m = state.cdot.copy()
-    c_m = state.c.copy()
     eye = np.eye(state.c.size)
     newton = 0
 
     flow_scale = 1.0 + float(np.max(np.abs(state.omega)))
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, 41):
         Dm, Am = sops.modal_matrices(chi_m)
         lhs = eye + dt * Dm + dt * dt * Am
         rhs = state.cdot + dt * (f_modal - Am @ state.c)
@@ -392,8 +386,9 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
 
 def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
                      forcing_modal, tol_ode: float = 1e-8,
-                     kind: str = "midpoint", min_dt_factor: float = 2.0 ** -6):
-    """Advance one step of size tau; halves the substep on stage failure.
+                     kind: str = "midpoint"):
+    """Advance one step of size tau by stage solves of length tau/2, each
+    forced at its end time; a failed stage raises StageError at once.
 
     kind = "midpoint": symmetric second-order stage at t + tau/2, whose
     update extrapolates every field, chi included, as 2 stage - start;
@@ -402,61 +397,39 @@ def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
     restoration at the end starts from the updated chi.
 
     Returns (state, records, counts).  Each record (dt, s, f0) carries the
-    mean-identity quadrature of one substep: it adds dt (t - s) f0 to the
+    mean-identity quadrature of one stage: it adds dt (t - s) f0 to the
     mean displacement at time t, f0 being the constant-mode forcing
     coefficient.  counts holds the stage outer iterations
     ("inner_iterations") and the chi_from_omega Newton iterations
-    ("newton_iterations") of the accepted substeps and the restoration.
+    ("newton_iterations") of the stages and the restoration.
     """
-    records = []
+    h = 0.5 * tau
     counts = {"inner_iterations": 0, "newton_iterations": 0}
 
-    def advance(z, dt_nominal, scheme):
-        dt_try = dt_nominal
-        while True:
-            nsub = int(round(dt_nominal / dt_try))
-            try:
-                cur = z
-                recs, outer, newton = [], 0, 0
-                for i in range(nsub):
-                    if scheme == "midpoint":
-                        t_eval = cur.t + 0.5 * dt_try
-                        fm = forcing_modal(t_eval)
-                        stage, o, n = _stage_solve(sops, cur, 0.5 * dt_try,
-                                                   fm, tol_ode)
-                        new = SpectralState(
-                            t=cur.t + dt_try,
-                            c=2.0 * stage.c - cur.c,
-                            cdot=2.0 * stage.cdot - cur.cdot,
-                            omega=2.0 * stage.omega - cur.omega,
-                            omega_t=2.0 * stage.omega_t - cur.omega_t,
-                            chi=2.0 * stage.chi - cur.chi,
-                            chi_t=stage.chi_t)
-                        recs.append((dt_try, t_eval, fm[0]))
-                    else:
-                        fm = forcing_modal(cur.t + dt_try)
-                        new, o, n = _stage_solve(sops, cur, dt_try, fm,
-                                                 tol_ode)
-                        recs.append((dt_try, cur.t, fm[0]))
-                    outer += o
-                    newton += n
-                    cur = new
-            except StageError:
-                if dt_try <= dt_nominal * min_dt_factor:
-                    raise
-                dt_try *= 0.5
-                continue
-            records.extend(recs)
-            counts["inner_iterations"] += outer
-            counts["newton_iterations"] += newton
-            return cur
+    def stage(z):
+        fm = forcing_modal(z.t + h)
+        out, outer, newton = _stage_solve(sops, z, h, fm, tol_ode)
+        counts["inner_iterations"] += outer
+        counts["newton_iterations"] += newton
+        return out, fm[0]
 
     if kind == "be":
-        out = advance(advance(state, 0.5 * tau, "be"), 0.5 * tau, "be")
+        half, f1 = stage(state)
+        out, f2 = stage(half)
+        records = [(h, state.t, f1), (h, half.t, f2)]
     else:
-        out = advance(state, tau, "midpoint")
+        mid, f0 = stage(state)
+        out = SpectralState(
+            t=state.t + tau,
+            c=2.0 * mid.c - state.c,
+            cdot=2.0 * mid.cdot - state.cdot,
+            omega=2.0 * mid.omega - state.omega,
+            omega_t=2.0 * mid.omega_t - state.omega_t,
+            chi=2.0 * mid.chi - state.chi,
+            chi_t=mid.chi_t)
+        records = [(tau, mid.t, f0)]
 
-    # coherence restoration at the accepted time level
+    # coherence restoration at the new time level
     chi, info = chi_from_omega(sops, out.omega, chi_init=out.chi)
     counts["newton_iterations"] += info["iterations"]
     out.chi = chi
@@ -469,8 +442,8 @@ def run_strong(config: ScenarioConfig):
 
     Hitting the psi_max threshold stops the run and is reported as the
     numerical local-existence horizon, not as an error.  A step whose stage
-    solves fail at the smallest substep raises StageError with the partial
-    trajectory and the failed step attached.
+    solve fails raises StageError with the partial trajectory and the
+    failed step attached.
     """
     mesh = build_mesh(config.N, config.L)
     ops = assemble_operators(mesh)
@@ -517,7 +490,7 @@ def run_strong(config: ScenarioConfig):
 
     int_h3 = prev_h3sq = 0.0
     last_t = 0.0
-    # running sums of dt f0 and dt s f0 over the substep records, so that
+    # running sums of dt f0 and dt s f0 over the stage records, so that
     # the forcing term of the mean identity at time t is t sum_f - sum_sf
     sum_f = sum_sf = 0.0
 
@@ -547,7 +520,6 @@ def run_strong(config: ScenarioConfig):
 
     record(state)
 
-    stride = max(1, int(config.output_stride))
     for k in range(1, steps + 1):
         kind = "be" if k <= params.startup_steps else "midpoint"
         try:
@@ -562,7 +534,7 @@ def run_strong(config: ScenarioConfig):
             sum_f += dt * f0
             sum_sf += dt * s * f0
         traj.step_reports.append(StepReport(step=k, **counts))
-        if k % stride == 0 or k == steps:
+        if k % config.output_stride == 0 or k == steps:
             psi = record(state)
             if psi > params.psi_max:
                 monitor.horizon_time = state.t

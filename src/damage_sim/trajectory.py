@@ -23,7 +23,6 @@ per block in ``Trajectory.save``):
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -314,24 +313,22 @@ class Trajectory:
         os.makedirs(outdir, exist_ok=True)
         written = []
         x = self.mesh.nodes
-        for strong, run in itertools.groupby(
-                self.snapshots, key=lambda s: s.omega is not None):
-            run = list(run)
-            header = b"x,u,v,chi,chi_t" + (b",omega,omega_t\n" if strong
-                                           else b"\n")
-            per_block = max(1, _BLOCK_VALUES // (x.size * (7 if strong else 5)))
-            for b in range(0, len(run), per_block):
-                rows = np.concatenate([np.column_stack(
-                    [x, s.u, s.v, s.chi, s.chi_t]
-                    + ([s.omega, s.omega_t] if strong else []))
-                    for s in run[b:b + per_block]])
-                body, line_bytes = _csv_lines(rows)
-                ends = np.cumsum(line_bytes)[x.size - 1::x.size].tolist()
-                for start, end in zip([0] + ends, ends):
-                    name = f"snap_{len(written):05d}.csv"
-                    with open(os.path.join(outdir, name), "wb") as fh:
-                        fh.write(header + body[start:end])
-                    written.append(name)
+        strong = self.mode == "strong"
+        header = b"x,u,v,chi,chi_t" + (b",omega,omega_t\n" if strong
+                                       else b"\n")
+        per_block = max(1, _BLOCK_VALUES // (x.size * (7 if strong else 5)))
+        for b in range(0, len(self.snapshots), per_block):
+            rows = np.concatenate([np.column_stack(
+                [x, s.u, s.v, s.chi, s.chi_t]
+                + ([s.omega, s.omega_t] if strong else []))
+                for s in self.snapshots[b:b + per_block]])
+            body, line_bytes = _csv_lines(rows)
+            ends = np.cumsum(line_bytes)[x.size - 1::x.size].tolist()
+            for start, end in zip([0] + ends, ends):
+                name = f"snap_{len(written):05d}.csv"
+                with open(os.path.join(outdir, name), "wb") as fh:
+                    fh.write(header + body[start:end])
+                written.append(name)
         write_csv(os.path.join(outdir, "manifest_times.csv"),
                   ["index", "t"],
                   [np.arange(len(self.times)), np.asarray(self.times)])

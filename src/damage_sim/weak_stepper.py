@@ -371,7 +371,6 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
                      chi_t=np.zeros_like(chi0))
     traj.append(snap0)
 
-    stride = max(1, int(config.output_stride))
     E_series, D_series, work_series = np.zeros((3, config.K + 1))
     mono_ok = True
     pending, k0 = [snap0], 0       # snapshots of steps k0, k0 + 1, ...
@@ -411,7 +410,7 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
                             ops, tau, means, config.tolerances.mono)
             mono_ok &= uni
             pending, k0 = [], k + 1
-        if k % stride == 0 or k == config.K:
+        if k % config.output_stride == 0 or k == config.K:
             traj.append(snap)
     traj.extras["edi_series"] = {
         "times": tau * np.arange(config.K + 1),

@@ -265,6 +265,16 @@ def test_unknown_file_mode_exits_one(tmp_path, capsys, mode):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("stride", [0, -2])
+def test_output_stride_below_one_exits_one(tmp_path, capsys, stride):
+    cfg = write_cfg(tmp_path, ZERO_DATA + f"output.stride = {stride}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[damage-sim] error:")
+    assert "output stride must be at least 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_validate_mode_from_the_file(tmp_path):
     cfg = write_cfg(tmp_path, _with_mode("validate"))
     out = tmp_path / "out"

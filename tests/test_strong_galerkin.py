@@ -428,8 +428,10 @@ def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
                                                steps=10, varpi0="slaved"))
     tau = cfg.T / 10
     real = sg._stage_solve
+    calls = []
 
     def failing(sops, state, dt, *args, **kw):
+        calls.append(state.t)
         if state.t >= 2.0 * tau - 1e-12:        # every stage of step 3 fails
             raise StageError("injected stage failure")
         return real(sops, state, dt, *args, **kw)
@@ -442,6 +444,9 @@ def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
     assert traj.mode == "strong"
     assert len(traj.step_reports) == 2
     assert traj.times == pytest.approx([0.0, tau, 2.0 * tau])
+    # two startup steps of two stages each, then the failing stage: the
+    # step is not retried on smaller substeps
+    assert len(calls) == 5
 
 
 class _JitteredYosida:
