@@ -36,7 +36,6 @@ from .strong_galerkin import BlowupMonitor, SpectralState, run_strong
 from .trajectory import Snapshot, StepReport, Trajectory
 from .weak_stepper import (
     DamageSubproblem,
-    SimState,
     damage_step,
     momentum_step,
     run_weak,

@@ -161,9 +161,8 @@ def _run_compare_mode(config, outdir):
 
 def _run_validate_mode(config, outdir):
     report = validate_material(config.material)
-    mesh = build_mesh(config.N, config.L)
     try:
-        config.validate(mesh.nodes)
+        config.validate(build_mesh(config.N, config.L).nodes)
         config_ok, config_err = True, ""
     except ValueError as exc:
         config_ok, config_err = False, str(exc)

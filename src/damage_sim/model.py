@@ -216,7 +216,7 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
         c1 = _pop("c1", 1.0)
         c2 = _pop("c2", 0.0)
         c3 = _pop("c3", 0.0)
-        eps_dom = _pop("eps_dom", 1e-9)
+        eps_dom = 1e-9
         _reject_extra(name, params)
         if c1 < 0:
             raise ValueError("c1 must be nonnegative for an l-convex split")
@@ -509,8 +509,6 @@ class ScenarioConfig:
         mode = self.mode if mode is None else mode
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.N < 3:
-            raise ValueError("N must be at least 3")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.output_stride < 1:

@@ -22,6 +22,10 @@ chi_t per outer iteration:
   (nu/dt + dt) B_sym chi_t + W_L (chi_t + I_delta'(chi_t))
       = (nu/dt) W_L omega_t^k - W_L (omega^k + G(chi, u)).
 
+This solve, the coherence solve and the slaved start's nodewise flow rule
+all read A x + W_L (x + g(x)) = b, A SPD tridiagonal or zero, g monotone;
+one damped Newton routine, ``_monotone_solve``, solves all three.
+
 The division by (nu/dt) keeps the stiff 1/nu term exact, so arbitrarily
 small nu is stable; because the midpoint rule does not damp the initial
 fast layer when omega_t(0) is off the slow manifold, the first
@@ -212,66 +216,84 @@ class StrongOperators:
                 + self.reg_W.value(chi) + chi)
 
 
-def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
-                   chi_init: Optional[np.ndarray] = None,
-                   tol_ell: float = 1e-10, max_iter: int = 60):
-    """Solve the semilinear Neumann problem -Delta chi + W'(chi) + chi = omega.
+def _monotone_solve(ops: Operators, A: np.ndarray, reg: RegularizedFunction,
+                    b: np.ndarray, x: np.ndarray, tol: float,
+                    max_iter: int = 60) -> tuple:
+    """Solve A x + W_L (x + g(x)) = b from x, with A SPD tridiagonal (banded
+    storage) or zero and g = ``reg`` monotone, by damped Newton.
 
-    Damped Newton on the lumped FEM system; monotonicity of the regularized
-    derivative makes the Jacobian S + W_L diag(1 + W'') SPD, so the iteration
-    is globally convergent with backtracking.  Where the residual stalls
-    above ``tol_ell (1 + max|omega|)`` (backtracking exhausted, or
-    ``max_iter`` steps taken) the iterate is accepted if its residual is
-    below the round-off of its own terms, 4 eps |S||chi| + w (|W'(chi)| +
-    |chi| + |omega|) in the same norm; otherwise the solve fails.  Returns
-    (chi, info) where info reports the Newton steps taken ("iterations", 0
-    for a start that already converged) and the final residual
-    ("residual"); the measured stability ratio of the answer is
-    ``stability_ratio(sops, chi, omega)``.
+    The Jacobian A + W_L diag(1 + g') is SPD, so the iteration is globally
+    convergent with backtracking.  The residual r is measured in the lumped
+    L2 norm of r / w and met below ``tol`` (1 + max|b / w|).  Where it
+    stalls above that (backtracking exhausted, or ``max_iter`` steps
+    taken) the iterate is accepted if its residual is below the round-off
+    of its own terms, 4 eps (|A||x| + w (|g(x)| + |x|) + |b|) / w in the
+    same norm; otherwise the solve raises StageError.  Returns (x, the
+    Newton steps taken, 0 for a start that already converged, the final
+    residual).
     """
-    ops = sops.ops
-    chi = (omega.copy() if chi_init is None else chi_init.copy())
+    w = ops.w
 
-    def residual(c):
-        """Residual at c, with W'(c) and W''(c) from the same evaluation."""
-        wv, wd, _ = sops.reg_W.eval_all(c)
-        return banded_matvec(ops.S, c) + ops.w * (wv + c - omega), wv, wd
+    def residual(y):
+        """Residual at y, with g(y) and g'(y) from the same evaluation."""
+        gv, gd, _ = reg.eval_all(y)
+        return banded_matvec(A, y) + w * (y + gv) - b, gv, gd
 
     def res_norm(r):
-        return float(np.sqrt(np.dot(ops.w, (r / ops.w) ** 2)))
+        return float(np.sqrt(np.dot(w, (r / w) ** 2)))
 
     def damped_step():
-        """The backtracked Newton candidate from chi, or None."""
-        J = ops.S.copy()
-        J[1] += ops.w * (1.0 + wd)
+        """The backtracked Newton candidate from x, or None."""
+        J = A.copy()
+        J[1] += w * (1.0 + gd)
         step = solve_spd_tridiag(J, -r)
         lam = 1.0
         for _ in range(40):
-            cand = chi + lam * step
-            rc, wvc, wdc = residual(cand)
+            cand = x + lam * step
+            rc, gvc, gdc = residual(cand)
             rcn = res_norm(rc)
             if rcn <= (1.0 - 0.25 * lam) * rn or rcn <= tol:
-                return cand, rc, rcn, wvc, wdc
+                return cand, rc, rcn, gvc, gdc
             lam *= 0.5
         return None
 
-    r, wv, wd = residual(chi)
+    r, gv, gd = residual(x)
     rn = res_norm(r)
-    tol = tol_ell * (1.0 + float(np.max(np.abs(omega))))
+    tol = tol * (1.0 + float(np.max(np.abs(b / w))))
     for it in range(max_iter + 1):
         if rn <= tol:
             break
         accepted = damped_step() if it < max_iter else None
         if accepted is None:
             floor = 4.0 * np.finfo(float).eps * res_norm(
-                banded_matvec(np.abs(ops.S), np.abs(chi))
-                + ops.w * (np.abs(wv) + np.abs(chi) + np.abs(omega)))
+                banded_matvec(np.abs(A), np.abs(x))
+                + w * (np.abs(gv) + np.abs(x)) + np.abs(b))
             if rn <= floor:
                 break
             raise StageError(
-                f"chi_from_omega stalled after {it} Newton steps: residual "
+                f"damped Newton stalled after {it} Newton steps: residual "
                 f"{rn:.3e} above tolerance {tol:.3e} and round-off {floor:.3e}")
-        chi, r, rn, wv, wd = accepted
+        x, r, rn, gv, gd = accepted
+    return x, it, rn
+
+
+def chi_from_omega(sops: StrongOperators, omega: np.ndarray,
+                   chi_init: Optional[np.ndarray] = None,
+                   tol_ell: float = 1e-10, max_iter: int = 60):
+    """Solve the semilinear Neumann problem -Delta chi + W'(chi) + chi = omega
+    on the lumped FEM system, S chi + W_L (chi + W'(chi)) = W_L omega, by
+    ``_monotone_solve`` from ``chi_init`` (default omega) to the tolerance
+    ``tol_ell`` (1 + max|omega|).
+
+    Returns (chi, info) where info reports the Newton steps taken
+    ("iterations", 0 for a start that already converged) and the final
+    residual ("residual"); the measured stability ratio of the answer is
+    ``stability_ratio(sops, chi, omega)``.
+    """
+    ops = sops.ops
+    start = omega if chi_init is None else chi_init
+    chi, it, rn = _monotone_solve(ops, ops.S, sops.reg_W, ops.w * omega,
+                                  start.copy(), tol_ell, max_iter)
     return chi, {"iterations": it, "residual": rn}
 
 
@@ -294,42 +316,23 @@ def chi_rate_from_omega_rate(sops: StrongOperators, chi: np.ndarray,
     return solve_spd_tridiag(sops.bsym(chi), sops.ops.w * omega_t)
 
 
-def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0) -> np.ndarray:
+def _newton_tol(tol_ode: float) -> float:
+    """``_monotone_solve`` tolerance of the stage solves and the slaved start."""
+    return min(tol_ode, 1e-10)
+
+
+def _slaved_omega_t(sops: StrongOperators, chi0, u0_nodal, omega0,
+                    tol_ode: float) -> np.ndarray:
     """Compatible omega_t(0): solve the quasi-static (nu = 0) flow rule
-    chi_t + I_delta'(chi_t) = -(omega + G) nodewise, then push the rate
-    through the coherence relation omega_t = W_L^{-1} B_sym chi_t."""
+    chi_t + I_delta'(chi_t) = -(omega + G) nodewise (``_monotone_solve``
+    with A = 0, from min(rhs, 0)), then push the rate through the coherence
+    relation omega_t = W_L^{-1} B_sym chi_t."""
+    ops = sops.ops
     rhs = -(omega0 + sops.flow_source(chi0, sops.elastic_density(u0_nodal)))
-    x = np.minimum(rhs, 0.0)
-    for _ in range(80):
-        ival, idiff, _ = sops.reg_I.eval_all(x)
-        r = x + ival - rhs
-        if np.max(np.abs(r)) <= 1e-14 * (1.0 + np.max(np.abs(rhs))):
-            break
-        x = x - r / (1.0 + idiff)
-    return banded_matvec(sops.bsym(chi0), x) / sops.ops.w
-
-
-def _chi_t_newton(sops: StrongOperators, B: np.ndarray, coeff: float,
-                  rhs: np.ndarray, x: np.ndarray) -> tuple:
-    """Newton with SPD tridiagonal Jacobian for coeff B x + w (x + I_reg(x))
-    = rhs, from x; returns (x, residual evaluations).
-
-    Accepts a residual below 1e-13 (1 + max|rhs|) or below the round-off of
-    coeff B x, where the residual can stall above that tolerance; a residual
-    above both after 60 Newton steps is a failed solve."""
-    w = sops.ops.w
-    tol = 1e-13 * (1.0 + float(np.max(np.abs(rhs))))
-    for it in range(1, 61):
-        ival, idiff, _ = sops.reg_I.eval_all(x)
-        F = coeff * banded_matvec(B, x) + w * (x + ival) - rhs
-        fn = float(np.max(np.abs(F)))
-        if fn <= tol or fn <= 4.0 * np.finfo(float).eps * coeff * float(
-                np.max(banded_matvec(np.abs(B), np.abs(x)))):
-            return x, it
-        J = coeff * B
-        J[1] += w * (1.0 + idiff)
-        x = x + solve_spd_tridiag(J, -F)
-    raise StageError(f"chi_t Newton did not converge: residual {fn:.3e}")
+    x, _, _ = _monotone_solve(ops, np.zeros_like(ops.S), sops.reg_I,
+                              ops.w * rhs, np.minimum(rhs, 0.0),
+                              _newton_tol(tol_ode))
+    return banded_matvec(sops.bsym(chi0), x) / ops.w
 
 
 def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
@@ -346,6 +349,7 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
     chit_m = state.chi_t.copy()
     eye = np.eye(state.c.size)
     newton = 0
+    tol_newton = _newton_tol(tol_ode)
 
     flow_scale = 1.0 + float(np.max(np.abs(state.omega)))
     for outer in range(1, 41):
@@ -358,14 +362,14 @@ def _stage_solve(sops: StrongOperators, state: SpectralState, dt: float,
 
         G = sops.flow_source(chi_m, q_m)
         B = sops.bsym(chi_m)
-        coeff = nu / dt + dt
         rhs_chi = (nu / dt) * ops.w * state.omega_t - ops.w * (state.omega + G)
 
-        chit_m, _ = _chi_t_newton(sops, B, coeff, rhs_chi, chit_m)
+        chit_m, _, _ = _monotone_solve(ops, (nu / dt + dt) * B, sops.reg_I,
+                                       rhs_chi, chit_m, tol_newton)
         omt_m = banded_matvec(B, chit_m) / ops.w
         om_m = state.omega + dt * omt_m
         chi_new, info = chi_from_omega(sops, om_m, chi_init=chi_m,
-                                       tol_ell=min(tol_ode, 1e-10))
+                                       tol_ell=tol_newton)
         newton += info["iterations"]
 
         # flow-rule residual at the stage point
@@ -463,7 +467,8 @@ def run_strong(config: ScenarioConfig):
     cdot0 = basis.project(ops, v0)
     omega0 = sops.omega_of_chi(chi0)
     if params.varpi0 == "slaved":
-        omega_t0 = _slaved_omega_t(sops, chi0, basis.synthesize(c0), omega0)
+        omega_t0 = _slaved_omega_t(sops, chi0, basis.synthesize(c0), omega0,
+                                   config.tolerances.ode)
     else:
         omega_t0 = np.full(mesh.N, float(params.varpi0))
     chi_t0 = chi_rate_from_omega_rate(sops, chi0, omega_t0)

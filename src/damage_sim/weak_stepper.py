@@ -67,11 +67,9 @@ from .discretization import (
 )
 from .forcing import local_time_means
 from .model import MaterialLaw, PotentialSplit, ScenarioConfig
-from .regularization import yosida_eval
 from .trajectory import Snapshot, StepReport, Trajectory
 
 __all__ = [
-    "SimState",
     "DamageSubproblem",
     "DamageSolveError",
     "MomentumSolveError",
@@ -92,15 +90,6 @@ class DamageSolveError(RuntimeError):
 
 class MomentumSolveError(RuntimeError):
     pass
-
-
-@dataclass
-class SimState:
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    chi: np.ndarray
-    chi_prev: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +173,7 @@ def damage_tau_max(potential: PotentialSplit) -> float:
     """Coercivity threshold tau < 1/(2 c_W^2) with c_W the affine-minorant
     slope of the convex part, estimated at the domain anchor."""
     graph = potential.convex_part
-    anchor = graph.anchor
-    if graph.minimal_section is not None:
-        c = float(np.atleast_1d(graph.minimal_section(anchor))[0])
-    else:
-        c = float(np.atleast_1d(yosida_eval(graph, 1e-3, anchor))[0])
+    c = float(np.atleast_1d(graph.minimal_section(graph.anchor))[0])
     if not np.isfinite(c) or abs(c) < 1e-300:
         return math.inf
     return 1.0 / (2.0 * c * c)
@@ -375,19 +360,18 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
     mono_ok = True
     pending, k0 = [snap0], 0       # snapshots of steps k0, k0 + 1, ...
 
-    state = SimState(t=0.0, u=u0.copy(), v=v0.copy(), chi=chi0.copy(),
-                     chi_prev=chi0.copy())
+    u, chi, chi_prev = u0, chi0, chi0
     u_prev2 = u0 - tau * v0
     lo = config.potential.convex_part.domain[0]
     for k in range(1, config.K + 1):
         sub = assemble_damage_subproblem(ops, config.material, config.potential,
-                                         state.u, state.chi, tau)
+                                         u, chi, tau)
         # Newton start chi^{k-1} + tau chi_t^{k-1}, clipped to the obstacle set
-        predictor = np.clip(2.0 * state.chi - state.chi_prev, lo, state.chi)
+        predictor = np.clip(2.0 * chi - chi_prev, lo, chi)
         try:
             chi_k, report = damage_step(sub, tol_inner=config.tolerances.inner,
                                         start=predictor)
-            u_k, lin_res = momentum_step(ops, config.material, chi_k, state.u,
+            u_k, lin_res = momentum_step(ops, config.material, chi_k, u,
                                          u_prev2, tau, *means.rows(k - 1),
                                          tol_lin=config.tolerances.lin)
         except (DamageSolveError, MomentumSolveError) as exc:
@@ -397,11 +381,9 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
         report.step = k
         report.linear_residual = lin_res
         traj.step_reports.append(report)
-        u_prev2 = state.u
-        state = SimState(t=k * tau, u=u_k, v=(u_k - state.u) / tau,
-                         chi=chi_k, chi_prev=state.chi)
-        snap = Snapshot(t=state.t, u=state.u, v=state.v, chi=state.chi,
-                        chi_t=(state.chi - state.chi_prev) / tau)
+        snap = Snapshot(t=k * tau, u=u_k, v=(u_k - u) / tau, chi=chi_k,
+                        chi_t=(chi_k - chi) / tau)
+        u_prev2, u, chi_prev, chi = u, u_k, chi, chi_k
         pending.append(snap)
         if len(pending) == BLOCK or k == config.K:
             rows = slice(k0, k + 1)

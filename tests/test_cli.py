@@ -283,6 +283,25 @@ def test_validate_mode_from_the_file(tmp_path):
     assert payload["config_ok"] is True and payload["config_error"] == ""
 
 
+@pytest.mark.parametrize("line, message", [
+    ("mesh.N = 2", "mesh needs at least 3 nodes"),
+    ("time.K = 0", "K must be at least 1"),
+])
+def test_validate_mode_reports_a_bad_size_in_its_payload(tmp_path, line,
+                                                         message):
+    # a bad mesh size is a scenario defect like a bad step count: both end
+    # in config_ok = false and exit 2, not in an error exit
+    key = line.split(" = ")[0]
+    text = re.sub(rf"^{re.escape(key)} = .*$", line, _with_mode("validate"),
+                  flags=re.M)
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads((out / "validation.json").read_text())
+    assert payload["config_ok"] is False
+    assert message in payload["config_error"]
+
+
 def test_omitted_top_level_keys_take_the_scenario_defaults():
     top = ("label", "mode", "seed", "mesh.", "time.", "output.")
     text = "\n".join(line for line in ZERO_DATA.splitlines()

@@ -450,8 +450,8 @@ def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
 
 
 class _JitteredYosida:
-    """reg_I whose value moves by 1e-6 between calls, so the chi_t Newton
-    iteration cannot meet its tolerance."""
+    """reg_I whose value moves by 1e-6 between calls, so a Newton solve in
+    it cannot meet its tolerance."""
 
     def __init__(self, reg):
         self.reg = reg
@@ -474,23 +474,37 @@ def test_chi_t_newton_failure_raises_stage_error():
                              omega=sops.omega_of_chi(chi),
                              omega_t=np.full(N, -0.1), chi=chi,
                              chi_t=np.zeros(N))
-    with pytest.raises(StageError, match="chi_t Newton did not converge"):
+    with pytest.raises(StageError, match="damped Newton stalled"):
         sg._stage_solve(sops, state, 1e-3, np.zeros(n1), 1e-8)
+
+
+def test_slaved_start_that_cannot_converge_raises():
+    # the quasi-static flow rule of the slaved start is solved like every
+    # other Newton system: a solve that cannot meet its tolerance fails
+    # instead of returning its unconverged iterate
+    sops = make_sops(delta=0.05, nu=1e-6)
+    sops = replace(sops, reg_I=_JitteredYosida(sops.reg_I))
+    x = sops.ops.mesh.nodes
+    chi0 = 0.5 + 0.2 * np.cos(np.pi * x)
+    u0 = 0.1 * np.cos(np.pi * x)
+    with pytest.raises(StageError, match="damped Newton stalled"):
+        sg._slaved_omega_t(sops, chi0, u0, sops.omega_of_chi(chi0), 1e-8)
 
 
 def test_chi_t_newton_stops_at_round_off(monkeypatch):
     # acceptance criterion 11's first rung (delta = 0.5, nu = 0.0625, N = 65):
-    # its residuals stall at the round-off of coeff B x, above 1e-13, which
-    # must end the iteration instead of running it to the cap of 60
-    real = sg._chi_t_newton
+    # no Newton solve of the run, the chi_t solves included, may run to the
+    # cap of 60 steps; a solve whose residual stalls above its tolerance
+    # must end at the round-off of its own terms
+    real = sg._monotone_solve
     counts = []
 
     def counting(*args, **kw):
-        x, its = real(*args, **kw)
+        x, its, rn = real(*args, **kw)
         counts.append(its)
-        return x, its
+        return x, its, rn
 
-    monkeypatch.setattr(sg, "_chi_t_newton", counting)
+    monkeypatch.setattr(sg, "_monotone_solve", counting)
     p = StrongSettings(schedule_n=1).resolved()
     assert (p.delta, p.nu) == (0.5, 0.0625)
     run_strong(_strong_config(
