@@ -8,7 +8,6 @@ timing is logged to stderr only.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -289,6 +288,7 @@ def main(argv=None) -> int:
 
 
 def _sweep(configs, outroot, overrides) -> int:
+    import concurrent.futures   # only a sweep starts worker processes
     if not configs:
         print("[damage-sim] sweep needs --sweep-configs", file=sys.stderr)
         return 1

@@ -27,11 +27,14 @@ lambda_0 = 0; all later modes have zero M-mean.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "Mesh1D",
@@ -88,8 +91,27 @@ def banded_quadform(ab: np.ndarray, x: np.ndarray, y: Optional[np.ndarray] = Non
 # Tridiagonal solves call the LAPACK routines ?ptsv and ?gtsv directly
 # (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999): the routines, bits
 # and checks of solveh_banded and solve_banded((1, 1), ...) without the
-# wrappers' per-call cost.
-_PTSV, _GTSV = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(0),))
+# wrappers' per-call cost.  They come from scipy's compiled LAPACK module,
+# loaded by file: the same routine objects as get_lapack_funcs returns,
+# without importing the scipy.linalg package (most of a process's start-up).
+def _lapack_routines():
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        where = [os.path.join(d, "linalg")
+                 for d in (scipy.submodule_search_locations or [])] if scipy else []
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"damage_sim needs scipy's compiled LAPACK module "
+                              f"{name}; not found in {where or sys.path}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dptsv, module.dgtsv
+
+
+_PTSV, _GTSV = _lapack_routines()
 
 
 def _require_finite(*arrays) -> None:

@@ -441,13 +441,25 @@ def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
     return out, records, counts
 
 
+def _at_step(traj, k: int, solve, *args, **kw):
+    """solve(*args, **kw); a StageError leaves with the partial trajectory
+    and the failed step k attached."""
+    try:
+        return solve(*args, **kw)
+    except StageError as exc:
+        exc.partial_trajectory = traj
+        exc.failed_step = k
+        raise
+
+
 def run_strong(config: ScenarioConfig):
     """Integrate the regularized spectral system; returns (Trajectory, BlowupMonitor).
 
     Hitting the psi_max threshold stops the run and is reported as the
     numerical local-existence horizon, not as an error.  A step whose stage
     solve fails raises StageError with the partial trajectory and the
-    failed step attached.
+    failed step attached; a failed slaved start is step 0, with an empty
+    trajectory.
     """
     mesh = build_mesh(config.N, config.L)
     ops = assemble_operators(mesh)
@@ -462,22 +474,6 @@ def run_strong(config: ScenarioConfig):
                            potential=config.potential, reg_W=reg_W,
                            reg_I=reg_I, params=params)
 
-    u0, v0, chi0 = config.initial_fields(mesh.nodes)
-    c0 = basis.project(ops, u0)
-    cdot0 = basis.project(ops, v0)
-    omega0 = sops.omega_of_chi(chi0)
-    if params.varpi0 == "slaved":
-        omega_t0 = _slaved_omega_t(sops, chi0, basis.synthesize(c0), omega0,
-                                   config.tolerances.ode)
-    else:
-        omega_t0 = np.full(mesh.N, float(params.varpi0))
-    chi_t0 = chi_rate_from_omega_rate(sops, chi0, omega_t0)
-    state = SpectralState(t=0.0, c=c0, cdot=cdot0, omega=omega0,
-                          omega_t=omega_t0, chi=chi0.copy(), chi_t=chi_t0)
-
-    def forcing_modal(t):
-        return basis.project(ops, config.forcing.at(t, mesh.nodes))
-
     steps = params.steps
     tau = config.T / steps
     traj = Trajectory(mode="strong", mesh=mesh, ops=ops,
@@ -487,6 +483,22 @@ def run_strong(config: ScenarioConfig):
                               "reg_W": reg_W, "reg_I": reg_I, "basis": basis,
                               "mean_identity": []})
     monitor = BlowupMonitor(psi_max=params.psi_max)
+
+    u0, v0, chi0 = config.initial_fields(mesh.nodes)
+    c0 = basis.project(ops, u0)
+    cdot0 = basis.project(ops, v0)
+    omega0 = sops.omega_of_chi(chi0)
+    if params.varpi0 == "slaved":
+        omega_t0 = _at_step(traj, 0, _slaved_omega_t, sops, chi0,
+                            basis.synthesize(c0), omega0, config.tolerances.ode)
+    else:
+        omega_t0 = np.full(mesh.N, float(params.varpi0))
+    chi_t0 = chi_rate_from_omega_rate(sops, chi0, omega_t0)
+    state = SpectralState(t=0.0, c=c0, cdot=cdot0, omega=omega0,
+                          omega_t=omega_t0, chi=chi0.copy(), chi_t=chi_t0)
+
+    def forcing_modal(t):
+        return basis.project(ops, config.forcing.at(t, mesh.nodes))
 
     ones = np.ones(mesh.N)
     sqrtL = math.sqrt(banded_quadform(ops.M, ones))
@@ -527,14 +539,9 @@ def run_strong(config: ScenarioConfig):
 
     for k in range(1, steps + 1):
         kind = "be" if k <= params.startup_steps else "midpoint"
-        try:
-            state, recs, counts = step_regularized(
-                sops, state, tau, forcing_modal,
-                tol_ode=config.tolerances.ode, kind=kind)
-        except StageError as exc:
-            exc.partial_trajectory = traj
-            exc.failed_step = k
-            raise
+        state, recs, counts = _at_step(traj, k, step_regularized, sops, state,
+                                       tau, forcing_modal,
+                                       tol_ode=config.tolerances.ode, kind=kind)
         for dt, s, f0 in recs:
             sum_f += dt * f0
             sum_sf += dt * s * f0

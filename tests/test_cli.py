@@ -408,10 +408,12 @@ def test_weak_mode_outputs_and_manifest(tmp_path):
     assert report["schema_version"] == 1
 
 
-# scipy's quadrature, spline and special-function modules and what the
-# first two pull in
-HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.special",
-         "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
+# the scipy package and scipy.linalg (the LAPACK routines come from scipy's
+# compiled module alone), scipy's quadrature, spline and special-function
+# modules, and what the quadrature and spline modules pull in
+HEAVY = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.interpolate",
+         "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+         "scipy.fft")
 
 
 def _fresh_run(tmp_path, script):
@@ -425,9 +427,54 @@ def _fresh_run(tmp_path, script):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def test_import_loads_no_scipy_package(tmp_path):
+    loaded = _fresh_run(tmp_path, f"""
+import json, sys
+import damage_sim.cli
+print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+""")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_lapack_routines_are_scipys_in_either_import_order(tmp_path,
+                                                           scipy_first):
+    imports = ["from scipy.linalg.lapack import get_lapack_funcs",
+               "import damage_sim.discretization as d"]
+    same = _fresh_run(tmp_path, "\n".join(
+        ["import json, numpy as np"] + imports[::1 if scipy_first else -1] + [
+            'ptsv, gtsv = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(0),))',
+            "print(json.dumps([d._PTSV is ptsv, d._GTSV is gtsv]))"]))
+    assert same == [True, True]
+
+
+@pytest.mark.parametrize("scipy_found", [False, True])
+def test_missing_lapack_module_raises_import_error(tmp_path, scipy_found):
+    # find_spec("scipy") gives None, or a package in an empty directory
+    empty = tmp_path / "scipy"
+    empty.mkdir()
+    message = _fresh_run(tmp_path, f"""
+import importlib.machinery, importlib.util, json
+
+def find_spec(name, package=None):
+    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+    spec.submodule_search_locations = [{str(empty)!r}]
+    return spec if {scipy_found!r} else None
+
+importlib.util.find_spec = find_spec
+try:
+    import damage_sim.discretization
+except ImportError as exc:
+    print(json.dumps(str(exc)))
+""")
+    assert "scipy.linalg._flapack" in message
+    if scipy_found:
+        assert os.path.join(str(empty), "linalg") in message
+
+
 def test_weak_run_imports_no_scipy_quadrature_or_splines(tmp_path):
     # preset time factors have closed-form means, so a weak run needs only
-    # numpy and scipy.linalg
+    # numpy and scipy's compiled LAPACK module
     cfg = write_cfg(tmp_path, ZERO_DATA + 'forcing.kind = "sin_t"\n'
                     'forcing.amplitude = 0.5\nforcing.freq = 3.0\n')
     status, loaded = _fresh_run(tmp_path, f"""
@@ -496,6 +543,19 @@ def test_compare_mode_produces_relative_csv(tmp_path):
     assert not list(out.glob("snap_*.csv"))
     manifest = json.loads((out / "manifest.json").read_text())
     assert "surrogate_run_report.json" in manifest["files"]
+
+
+def test_compare_run_imports_no_scipy_package(tmp_path):
+    cfg = write_cfg(tmp_path, COMPARE_SMALL + "strong.delta = 0.01\n"
+                    "strong.nu = 1e-8\n")
+    status, loaded = _fresh_run(tmp_path, f"""
+import json, sys
+from damage_sim.cli import run_scenario
+status = run_scenario({cfg!r}, "compare", "out")
+print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
+""")
+    assert status == 0
+    assert loaded == []
 
 
 def test_compare_surrogate_follows_strong_schedule(tmp_path, monkeypatch):

@@ -491,6 +491,21 @@ def test_slaved_start_that_cannot_converge_raises():
         sg._slaved_omega_t(sops, chi0, u0, sops.omega_of_chi(chi0), 1e-8)
 
 
+def test_slaved_start_failure_carries_step_zero_and_empty_trajectory(
+        monkeypatch):
+    real = sg.make_I_delta
+    monkeypatch.setattr(sg, "make_I_delta",
+                        lambda delta: _JitteredYosida(real(delta)))
+    cfg = _strong_config(strong=StrongSettings(n_modes=6, delta=0.05, nu=1e-6,
+                                               steps=10, varpi0="slaved"))
+    with pytest.raises(StageError, match="damped Newton stalled") as info:
+        run_strong(cfg)
+    assert info.value.failed_step == 0
+    traj = info.value.partial_trajectory
+    assert traj.mode == "strong"
+    assert len(traj) == 0 and traj.step_reports == []
+
+
 def test_chi_t_newton_stops_at_round_off(monkeypatch):
     # acceptance criterion 11's first rung (delta = 0.5, nu = 0.0625, N = 65):
     # no Newton solve of the run, the chi_t solves included, may run to the
