@@ -28,9 +28,7 @@ from .regularization import (
     make_W_delta,
     regularization_property_check,
     regularize,
-    resolvent,
     standard_mollifier,
-    yosida_eval,
 )
 from .strong_galerkin import BlowupMonitor, SpectralState, run_strong
 from .trajectory import Snapshot, StepReport, Trajectory

@@ -53,6 +53,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -91,6 +92,10 @@ _TOP_LEVEL = {"label": "label", "mode": "mode", "seed": "seed",
               "mesh.N": "N", "mesh.L": "L", "time.T": "T", "time.K": "K",
               "output.stride": "output_stride"}
 
+# a double-quoted string (kept) or a comment (dropped): a '#' inside quotes
+# is part of the value
+_QUOTED_OR_COMMENT = re.compile(r'("[^"]*")|#.*')
+
 
 class ConfigError(ValueError):
     pass
@@ -119,7 +124,8 @@ def _parse_value(raw: str, key: str):
 def parse_config_text(text: str) -> dict:
     flat = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _QUOTED_OR_COMMENT.sub(lambda m: m.group(1) or "",
+                                          line).strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -420,7 +420,6 @@ class StrongSettings:
     schedule_n: Optional[int] = None   # overrides (delta, nu) when set
     varpi0: object = 0.0       # constant, or "slaved"
     psi_max: float = 1e6
-    startup_steps: int = 2     # leading steps replaced by 2 backward-Euler halves
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

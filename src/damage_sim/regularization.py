@@ -72,8 +72,6 @@ __all__ = [
     "graph_quadratic",
     "graph_smooth",
     "standard_mollifier",
-    "resolvent",
-    "yosida_eval",
     "regularize",
     "regularization_property_check",
     "make_W_delta",
@@ -285,24 +283,6 @@ def graph_smooth(
         domain=domain,
         anchor=anchor,
     )
-
-
-# ---------------------------------------------------------------------------
-# Elementary operations
-# ---------------------------------------------------------------------------
-
-def resolvent(graph: MonotoneGraph, lam: float, x):
-    """Resolvent J_lam(x) = prox(lam, x)."""
-    if np.any(np.asarray(lam) <= 0):
-        raise ValueError("lam must be positive")
-    return graph.prox(lam, x)
-
-
-def yosida_eval(graph: MonotoneGraph, delta: float, x):
-    """Yosida approximation (x - J_delta(x)) / delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    return graph.yosida(delta, x)
 
 
 # ---------------------------------------------------------------------------

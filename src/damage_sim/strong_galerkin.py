@@ -29,7 +29,7 @@ one damped Newton routine, ``_monotone_solve``, solves all three.
 The division by (nu/dt) keeps the stiff 1/nu term exact, so arbitrarily
 small nu is stable; because the midpoint rule does not damp the initial
 fast layer when omega_t(0) is off the slow manifold, the first
-``startup_steps`` steps are taken as pairs of backward-Euler half-steps
+``_STARTUP_STEPS`` steps are taken as pairs of backward-Euler half-steps
 (Rannacher smoothing), which preserves the overall second order.
 
 Each stage's outer iteration starts from the predictor chi + dt chi_t of
@@ -80,6 +80,9 @@ __all__ = [
     "step_regularized",
     "run_strong",
 ]
+
+# leading steps taken as two backward-Euler halves each
+_STARTUP_STEPS = 2
 
 
 class StageError(RuntimeError):
@@ -532,13 +535,13 @@ def run_strong(config: ScenarioConfig):
         traj.append(Snapshot(
             t=state.t, u=u, v=v, chi=state.chi.copy(),
             chi_t=state.chi_t.copy(), omega=state.omega.copy(),
-            omega_t=state.omega_t.copy(), u_modal=state.c.copy()))
+            omega_t=state.omega_t.copy()))
         return psi
 
     record(state)
 
     for k in range(1, steps + 1):
-        kind = "be" if k <= params.startup_steps else "midpoint"
+        kind = "be" if k <= _STARTUP_STEPS else "midpoint"
         state, recs, counts = _at_step(traj, k, step_regularized, sops, state,
                                        tau, forcing_modal,
                                        tol_ode=config.tolerances.ode, kind=kind)

@@ -194,7 +194,6 @@ class Snapshot:
     chi_t: np.ndarray
     omega: Optional[np.ndarray] = None
     omega_t: Optional[np.ndarray] = None
-    u_modal: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -244,53 +243,6 @@ class Trajectory:
 
     def time_array(self) -> np.ndarray:
         return np.asarray(self.times, dtype=float)
-
-    def sample(self, t: float) -> Snapshot:
-        """Piecewise-linear interpolation of the snapshot fields at time t."""
-        times = self.time_array()
-        if t <= times[0]:
-            return self.snapshots[0]
-        if t >= times[-1]:
-            return self.snapshots[-1]
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[j], times[j + 1]
-        lam = (t - t0) / (t1 - t0)
-
-        def mix(a, b):
-            if a is None or b is None:
-                return None
-            return (1.0 - lam) * a + lam * b
-
-        s0, s1 = self.snapshots[j], self.snapshots[j + 1]
-        return Snapshot(
-            t=t, u=mix(s0.u, s1.u), v=mix(s0.v, s1.v), chi=mix(s0.chi, s1.chi),
-            chi_t=mix(s0.chi_t, s1.chi_t), omega=mix(s0.omega, s1.omega),
-            omega_t=mix(s0.omega_t, s1.omega_t),
-            u_modal=mix(s0.u_modal, s1.u_modal),
-        )
-
-    def restrict_space(self, coarse_mesh: Mesh1D, coarse_ops: Operators) -> "Trajectory":
-        """Restrict fields to a coarser aligned mesh (or interpolate)."""
-        fine = self.mesh.nodes
-        coarse = coarse_mesh.nodes
-        stride = (self.mesh.N - 1) // (coarse_mesh.N - 1)
-        aligned = (stride * (coarse_mesh.N - 1) == self.mesh.N - 1)
-
-        def down(z):
-            if z is None:
-                return None
-            if aligned:
-                return z[::stride].copy()
-            return np.interp(coarse, fine, z)
-
-        out = Trajectory(mode=self.mode, mesh=coarse_mesh, ops=coarse_ops,
-                         material=self.material, potential=self.potential,
-                         tau=self.tau, extras=dict(self.extras))
-        for s in self.snapshots:
-            out.append(Snapshot(
-                t=s.t, u=down(s.u), v=down(s.v), chi=down(s.chi),
-                chi_t=down(s.chi_t), omega=down(s.omega), omega_t=down(s.omega_t)))
-        return out
 
     # -- serialization -------------------------------------------------------
     def run_report(self) -> dict:

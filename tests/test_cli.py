@@ -90,6 +90,13 @@ def test_parse_round_trip_types():
                     "list": [1.0, 2.0, 3.0]}
 
 
+def test_parse_keeps_hash_inside_quoted_value():
+    # a '#' between double quotes belongs to the value, not to a comment
+    flat = parse_config_text('label = "run#1"\nmode = "weak"  # after a quote\n'
+                             'name = "a # b" # "quoted" note\n')
+    assert flat == {"label": "run#1", "mode": "weak", "name": "a # b"}
+
+
 def test_unknown_keys_rejected_with_path():
     with pytest.raises(ValueError, match="bogus.key"):
         build_scenario(parse_config_text(ZERO_DATA + "bogus.key = 1\n"))
@@ -317,7 +324,6 @@ def test_omitted_top_level_keys_take_the_scenario_defaults():
     ("mesh.N", "N"), ("time.K", "K"), ("output.stride", "output_stride"),
     ("seed", "seed"), ("strong.n_modes", "strong.n_modes"),
     ("strong.steps", "strong.steps"), ("strong.schedule_n", "strong.schedule_n"),
-    ("strong.startup_steps", "strong.startup_steps"),
     ("compare.refine_space", "compare.refine_space"),
     ("compare.refine_time", "compare.refine_time"),
     ("regularize.grid_n", "regularize.grid_n"),

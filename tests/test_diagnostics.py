@@ -352,8 +352,7 @@ def test_strong_balance_zero_data_exact():
     cfg = _strong_config(u0=0.0, chi0=0.6,
                          potential=make_potential("quadratic", {"center": 0.6}),
                          strong=StrongSettings(n_modes=4, delta=0.1, nu=1e-4,
-                                               steps=20, varpi0=0.0,
-                                               startup_steps=0))
+                                               steps=20, varpi0=0.0))
     traj, _ = run_strong(cfg)
     res = strong_energy_balance_residual(traj)
     assert np.max(res) <= 1e-11
@@ -529,6 +528,71 @@ def test_calibrate_requires_perturbed_data():
     traj = run_weak(cfg)
     with pytest.raises(ValueError):
         calibrate_c_rei(traj, traj)
+
+
+def _sin_forcing(amplitude):
+    return Forcing(profile=lambda x: np.cos(np.pi * x),
+                   factor=CallableFactor(
+                       lambda t: amplitude * math.sin(2 * math.pi * t)))
+
+
+def test_calibrated_c_rei_is_the_sharp_envelope_constant():
+    # a weak run against a reference with half its forcing: R grows, so the
+    # calibrated C lies above the floor, and the envelope binds exactly at it
+    ref = run_weak(_weak_config(forcing=_sin_forcing(1.0)))
+    traj = run_weak(_weak_config(
+        forcing=_sin_forcing(2.0),
+        chi0=lambda x: 0.8 + 0.11 * np.cos(np.pi * x)))
+    c = calibrate_c_rei(traj, ref)
+    assert c > 1e-6
+
+    def envelope_holds(c_rei):
+        rep = rei_check(traj, ref, c_rei=c_rei)
+        return bool(np.all(rep.R <= rep.rhs * (1.0 + 1e-12)))
+
+    assert envelope_holds(c)
+    assert not envelope_holds(c * (1.0 - 1e-9))
+
+
+def test_calibrate_rejects_growth_without_gronwall_weight():
+    # a stationary reference has K = 0, so no C_REI bounds a growing R
+    pot = make_potential("quadratic", {"center": 0.8})
+    ref = run_weak(_weak_config(u0=0.0, chi0=0.8, potential=pot))
+    traj = run_weak(_weak_config(
+        u0=0.0, chi0=lambda x: 0.8 + 0.01 * np.cos(np.pi * x), potential=pot,
+        forcing=_sin_forcing(2.0)))
+    rep = rei_check(traj, ref)
+    assert np.all(rep.K == 0.0) and rep.R.max() > 2.0 * rep.R[0] > 0.0
+    with pytest.raises(ValueError, match="infeasible"):
+        calibrate_c_rei(traj, ref)
+
+
+def test_rei_rejects_a_reference_mesh_that_does_not_nest():
+    traj = run_weak(_weak_config(N=21, K=10))
+    for ref_cfg in (_weak_config(N=31, K=10), _weak_config(N=41, L=2.0, K=10)):
+        with pytest.raises(ValueError, match="does not nest"):
+            rei_check(traj, run_weak(ref_cfg))
+
+
+def test_rei_rejects_a_reference_without_a_snapshot_at_an_output_time():
+    traj = run_weak(_weak_config(K=10))
+    ref = run_weak(_weak_config(K=10, output_stride=2))
+    with pytest.raises(ValueError, match="no snapshot at t = 0.04"):
+        rei_check(traj, ref)
+
+
+def test_rei_pairs_recorded_reference_snapshots():
+    # a reference recording every fine step gives the report of one recorded
+    # at the weak output times: the snapshots at those times are paired, and
+    # nothing between them is read
+    mat = MaterialLaw(a=scalar_fn("cubic_plus"), b=scalar_fn("constant"))
+    weak = run_weak(_weak_config(N=21, T=0.25, K=25, material=mat))
+    reps = [rei_check(weak, run_strong(_strong_config(output_stride=s))[0])
+            for s in (1, 2)]
+    for name in ("times", "R", "W", "W_cum", "K", "coupling", "rhs", "slack"):
+        assert np.array_equal(getattr(reps[0], name), getattr(reps[1], name))
+    assert (reps[0].sup_R, reps[0].sign_ok, reps[0].feasible) == \
+        (reps[1].sup_R, reps[1].sign_ok, reps[1].feasible)
 
 
 def test_edi_series_path_matches_snapshot_recomputation():

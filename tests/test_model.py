@@ -7,7 +7,6 @@ from damage_sim.model import (
     scalar_fn,
     validate_material,
 )
-from damage_sim.regularization import resolvent
 
 
 def test_quadratic_preset_identity_split():
@@ -32,7 +31,7 @@ def test_logarithmic_preset_matches_closed_form():
 def test_indicator_box_prox_is_clamp():
     pot = make_potential("indicator_box")
     x = np.array([-0.5, 0.3, 1.7])
-    assert np.allclose(resolvent(pot.convex_part, 0.7, x),
+    assert np.allclose(pot.convex_part.prox(0.7, x),
                        np.clip(x, 0.0, 1.0))
     assert not pot.smooth
 

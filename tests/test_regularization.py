@@ -15,9 +15,7 @@ from damage_sim.regularization import (
     make_W_delta,
     regularization_property_check,
     regularize,
-    resolvent,
     standard_mollifier,
-    yosida_eval,
 )
 
 from oracles import (
@@ -83,23 +81,19 @@ def test_gauss_rule_reproduces_the_kernel_moments():
 
 def test_resolvent_examples():
     g = graph_indicator_halfline()
-    assert resolvent(g, 0.5, 1.0) == 0.0
-    assert resolvent(g, 0.5, -2.0) == -2.0
+    assert g.prox(0.5, 1.0) == 0.0
+    assert g.prox(0.5, -2.0) == -2.0
     gq = graph_quadratic()
     for lam, x in ((0.5, 1.0), (2.0, -3.0)):
-        assert resolvent(gq, lam, x) == pytest.approx(x / (1.0 + lam))
-    with pytest.raises(ValueError):
-        resolvent(g, 0.0, 1.0)
+        assert gq.prox(lam, x) == pytest.approx(x / (1.0 + lam))
 
 
 def test_yosida_examples():
     g = graph_indicator_halfline()
-    assert yosida_eval(g, 0.5, 1.0) == pytest.approx(2.0)
-    assert yosida_eval(g, 0.5, -1.0) == 0.0
+    assert g.yosida(0.5, 1.0) == pytest.approx(2.0)
+    assert g.yosida(0.5, -1.0) == 0.0
     gq = graph_quadratic()
-    assert yosida_eval(gq, 0.5, 3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        yosida_eval(g, 1.5, 1.0)
+    assert gq.yosida(0.5, 3.0) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ def test_stationary_state_is_preserved():
         u0=0.0, chi0=0.6,
         potential=make_potential("quadratic", {"center": 0.6}),
         strong=StrongSettings(n_modes=4, delta=0.1, nu=1e-4, steps=20,
-                              varpi0=0.0, startup_steps=0))
+                              varpi0=0.0))
     traj, _ = run_strong(cfg)
     for s in traj.snapshots:
         assert np.max(np.abs(s.chi - 0.6)) <= 1e-9
@@ -320,9 +320,9 @@ def test_modal_dynamics_matches_closed_form_in_linear_regime():
                                   varpi0="slaved"))
         traj, _ = run_strong(cfg)
         basis = traj.extras["basis"]
-        c_num = traj.final.u_modal
+        c_num = basis.project(traj.ops, traj.final.u)
         err = 0.0
-        c0 = traj.snapshots[0].u_modal
+        c0 = basis.project(traj.ops, traj.snapshots[0].u)
         for k in range(4):
             lam = basis.eigenvalues[k]
             c_exact, _ = modal_exact_solution(lam, 1.0, 1.0, c0[k], 0.0, 0.5)
