@@ -124,11 +124,12 @@ def _run_strong_mode(config, outdir):
 def _refined(config: ScenarioConfig) -> ScenarioConfig:
     """The compare run's strong surrogate: the weak scenario with the
     ``strong`` settings on a mesh and step refined by the ``compare`` ones,
-    recorded at the weak run's times."""
+    recorded at the weak run's output times only."""
     rs, rt = config.compare.refine_space, config.compare.refine_time
     return replace(config, N=(config.N - 1) * rs + 1, mode="strong",
                    strong=replace(config.strong, steps=config.K * rt),
-                   output_stride=rt, label=config.label + "_surrogate")
+                   output_stride=rt * config.output_stride,
+                   label=config.label + "_surrogate")
 
 
 def _run_compare_mode(config, outdir):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "EnergyReport",
     "discrete_edi_check",
     "uedi_check",
-    "one_sided_vi_residual",
     "strong_energy_balance_residual",
     "relative_energy",
     "relative_dissipation",
@@ -206,15 +205,13 @@ def discrete_edi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyR
         times, E, D, work = (np.asarray(series[key])
                              for key in ("times", "E", "D", "work"))
         uni = bool(series["unidirectional"])
-    elif np.allclose(np.diff(traj.time_array()), tau):
-        times = traj.time_array()
+    else:
+        traj.require_every_step("discrete_edi_check without the EDI series")
+        times = traj.times
         E, D, work, uni = step_series(
             traj.snapshots, 0, traj.material, traj.potential, traj.ops, tau,
             traj.forcing_means, _mono_tol(traj))
         work = np.cumsum(work)
-    else:
-        raise ValueError("trajectory carries neither full-resolution "
-                         "snapshots nor the accumulated EDI series")
 
     if tol is None:
         tol = traj.extras["config"].tolerances.inner * max(1, times.size - 1)
@@ -235,7 +232,7 @@ def uedi_check(traj: Trajectory, tol: Optional[float] = None) -> EnergyReport:
     """
     config = traj.extras["config"]
     ops, mat = traj.ops, traj.material
-    times = traj.time_array()
+    times = traj.times
     n = len(traj)
     sampled = point_values(config.forcing, config.boundary, times,
                            traj.mesh.nodes)
@@ -274,40 +271,6 @@ def _mono_tol(traj: Trajectory) -> float:
 
 
 # ---------------------------------------------------------------------------
-# One-sided variational inequality (smooth potential)
-# ---------------------------------------------------------------------------
-
-def one_sided_vi_residual(snap: Snapshot, test_bank: Sequence[np.ndarray],
-                          material: MaterialLaw, potential: PotentialSplit,
-                          ops: Operators,
-                          prev: Optional[Snapshot] = None) -> float:
-    """Minimum over the bank of the one-sided inequality left-hand side.
-
-    With ``prev`` given, the elastic load and the concave drift are taken at
-    the previous state (the form the scheme satisfies to solver tolerance);
-    otherwise everything is evaluated at the current state, which carries an
-    O(tau) consistency drift.
-    """
-    if not potential.smooth:
-        raise ValueError("one-sided VI in derivative form needs a smooth potential")
-    load_state = prev if prev is not None else snap
-    load = ops.elastic_load(load_state.u, material.C)
-    drift_chi = (prev.chi if prev is not None else snap.chi)
-    best = math.inf
-    for psi in test_bank:
-        psi = np.asarray(psi, dtype=float)
-        if np.any(psi > 0.0):
-            raise ValueError("test functions must be nonpositive")
-        lhs = (float(np.dot(ops.w * snap.chi_t, psi))
-               + banded_quadform(ops.S, snap.chi, psi)
-               + float(np.dot(material.a.d1(snap.chi) * load, psi))
-               + float(np.dot(ops.w * potential.breve_dW(snap.chi), psi))
-               + float(np.dot(ops.w * potential.concave_dW(drift_chi), psi)))
-        best = min(best, lhs)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Strong-mode regularized energy balance
 # ---------------------------------------------------------------------------
 
@@ -334,7 +297,7 @@ def strong_energy_balance_residual(traj: Trajectory) -> np.ndarray:
     forcing = traj.extras["config"].forcing
     nu = params.nu
 
-    times = traj.time_array()
+    times = traj.times
     n = len(traj)
     E = np.zeros(n)
     D = np.zeros(n)
@@ -463,10 +426,10 @@ def _align(traj: Trajectory, ref: Trajectory) -> list:
     if ref.mesh.L != traj.mesh.L or m * (n - 1) != n_ref - 1:
         raise ValueError(f"reference mesh (N = {n_ref}) does not nest the "
                          f"compared one (N = {n})")
-    ref_times = ref.time_array()
-    slop = (2 * len(ref.step_reports) + 1) * np.finfo(float).eps * ref.times[-1]
+    ref_times = ref.times
+    slop = (2 * len(ref.step_reports) + 1) * np.finfo(float).eps * ref_times[-1]
     out = []
-    for t in traj.times:
+    for t in traj.times.tolist():
         j = int(np.argmin(np.abs(ref_times - t)))
         if abs(ref_times[j] - t) > slop:
             raise ValueError(f"reference records no snapshot at t = {t!r}")
@@ -489,7 +452,7 @@ def rei_check(traj: Trajectory, ref_traj: Trajectory, c_rei: float = 1.0,
     of the coupling term (a' >= 0, ref chi_t <= 0) is verified.
     """
     ops, mat, pot = traj.ops, traj.material, traj.potential
-    times = traj.time_array()
+    times = traj.times
     refs = _align(traj, ref_traj)
     n = times.size
     R = np.zeros(n)

@@ -2,11 +2,9 @@
 
 A forcing is separable, f(x, t) = profile(x) * factor(t); boundary forcing
 g(t) = weights * factor(t) carries one value per end point (x = 0, x = L).
-The preset time factors (constant, sine, linear, and sampled tables with
-linear interpolation in t) have exact interval means in closed form; only a
-user-supplied ``CallableFactor`` is integrated adaptively, with scipy's
-``quad`` imported on its first mean.  ``SampledForcing`` keeps a run's
-samples in that form, O(K + N).
+The time factors (constant, sine, linear, and sampled tables with linear
+interpolation in t) have exact interval means in closed form.
+``SampledForcing`` keeps a run's samples in that form, O(K + N).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ __all__ = [
     "ConstantFactor",
     "SineFactor",
     "LinearFactor",
-    "CallableFactor",
     "TableFactor",
     "Forcing",
     "BoundaryForcing",
@@ -87,25 +84,6 @@ class LinearFactor(TimeFactor):
         if t1 <= t0:
             raise ValueError("empty interval")
         return self.slope * 0.5 * (t0 + t1)
-
-
-@dataclass(frozen=True)
-class CallableFactor(TimeFactor):
-    """A user-supplied callable, its interval means taken by adaptive
-    quadrature."""
-
-    fn: Callable
-
-    def at(self, t):
-        return float(self.fn(t))
-
-    def mean(self, t0, t1):
-        if t1 <= t0:
-            raise ValueError("empty interval")
-        from scipy.integrate import quad
-
-        val, _ = quad(self.fn, t0, t1, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val / (t1 - t0)
 
 
 @dataclass(frozen=True)

@@ -205,16 +205,6 @@ class StepReport:
     linear_residual: float = 0.0
     newton_iterations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "inner_iterations": self.inner_iterations,
-            "kkt_residual": self.kkt_residual,
-            "active_count": self.active_count,
-            "linear_residual": self.linear_residual,
-            "newton_iterations": self.newton_iterations,
-        }
-
 
 @dataclass
 class Trajectory:
@@ -223,7 +213,6 @@ class Trajectory:
     ops: Operators
     material: object
     potential: object
-    times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     step_reports: list = field(default_factory=list)
     tau: float = 0.0
@@ -231,7 +220,6 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
     def append(self, snap: Snapshot) -> None:
-        self.times.append(snap.t)
         self.snapshots.append(snap)
 
     def __len__(self) -> int:
@@ -241,8 +229,20 @@ class Trajectory:
     def final(self) -> Snapshot:
         return self.snapshots[-1]
 
-    def time_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([s.t for s in self.snapshots], dtype=float)
+
+    def require_every_step(self, check: str) -> None:
+        """Raise ValueError unless the snapshots are the initial state and
+        one per step report, so that ``check`` may read snapshots k - 1 and
+        k as the two ends of step k (output stride 1)."""
+        if len(self.snapshots) != len(self.step_reports) + 1:
+            stride = self.extras["config"].output_stride
+            raise ValueError(
+                f"{check} reads consecutive snapshots as consecutive steps, "
+                f"but this trajectory records {len(self.snapshots)} snapshots "
+                f"of {len(self.step_reports)} steps (output stride {stride})")
 
     # -- serialization -------------------------------------------------------
     def run_report(self) -> dict:
@@ -253,7 +253,7 @@ class Trajectory:
             "steps": len(self.step_reports),
             "tau": self.tau,
             "mesh": {"N": self.mesh.N, "L": self.mesh.L},
-            "step_reports": [r.to_dict() for r in self.step_reports],
+            "step_reports": [vars(r) for r in self.step_reports],
         }
 
     def save(self, outdir: str) -> list:
@@ -283,7 +283,7 @@ class Trajectory:
                 written.append(name)
         write_csv(os.path.join(outdir, "manifest_times.csv"),
                   ["index", "t"],
-                  [np.arange(len(self.times)), np.asarray(self.times)])
+                  [np.arange(len(self.snapshots)), self.times])
         written.append("manifest_times.csv")
         write_json(os.path.join(outdir, "run_report.json"), self.run_report())
         written.append("run_report.json")

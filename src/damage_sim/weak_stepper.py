@@ -79,7 +79,7 @@ __all__ = [
     "damage_tau_max",
     "run_weak",
     "truncation_consistency_check",
-    "nonsmooth_vi_residual",
+    "one_sided_vi_residual",
     "apriori_monitors",
 ]
 
@@ -311,7 +311,7 @@ def momentum_step(ops: Operators, material: MaterialLaw, chi: np.ndarray,
 
     try:
         u = solve_spd_tridiag(A, rhs)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - defensive
+    except np.linalg.LinAlgError as exc:
         raise MomentumSolveError(str(exc)) from exc
     res = float(np.max(np.abs(banded_matvec(A, u) - rhs))
                 / (np.max(np.abs(rhs)) + 1.0))
@@ -424,6 +424,7 @@ def truncation_consistency_check(traj: Trajectory, tol: float = 1e-10,
     """
     from .model import validate_material
 
+    traj.require_every_step("the truncation consistency check")
     report = validate_material(traj.material, hyp_grid)
     if not report.degradation_shape_ok():
         return TruncationReport(
@@ -448,42 +449,46 @@ def truncation_consistency_check(traj: Trajectory, tol: float = 1e-10,
                             worst_objective_gap=worst_gap, passed=passed)
 
 
-def nonsmooth_vi_residual(traj: Trajectory, test_bank: Sequence[np.ndarray]):
-    """Minimum over the bank of the discrete one-sided inequality LHS.
+def one_sided_vi_residual(traj: Trajectory,
+                          test_bank: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-step minimum over the bank of the discrete one-sided variational
+    inequality's left-hand side, a (K,)-array.
 
-    For each step k and each nonpositive nodal test function phi, evaluates
-    the scheme-consistent left-hand side
+    For each step k and each nonpositive nodal test function phi it
+    evaluates, with the load l and the concave drift of
+    ``assemble_damage_subproblem`` at step k (the form the scheme satisfies
+    to solver tolerance),
 
       sum_i w_i chi_t_i phi_i + chi^T S phi + sum_i a'(chi_i) l_i phi_i
-      + sum_i w_i [Wbreve(chi_i + phi_i) - Wbreve(chi_i)]
-      + sum_i w_i Wcheck'(chi^{k-1}_i) phi_i
+      + sum_i w_i Wcheck'(chi^{k-1}_i) phi_i + B(chi, phi),
 
-    (load l from u^{k-1}, concave drift at chi^{k-1}).  Entries where
-    chi + phi leaves the domain of Wbreve are excluded.  Returns the
-    (K,)-array of per-step minima over the bank.
+    B = sum_i w_i Wbreve'(chi_i) phi_i for a smooth potential and
+    sum_i w_i [Wbreve(chi_i + phi_i) - Wbreve(chi_i)] otherwise.  A phi
+    that takes chi out of the domain of Wbreve is skipped.
     """
     bank = [np.asarray(phi, dtype=float) for phi in test_bank]
-    for phi in bank:
-        if np.any(phi > 0.0):
-            raise ValueError("test functions must be nonpositive")
-    tau = traj.tau
-    ops = traj.ops
+    if any(np.any(phi > 0.0) for phi in bank):
+        raise ValueError("test functions must be nonpositive")
+    traj.require_every_step("the one-sided VI residual")
+    ops, material, potential = traj.ops, traj.material, traj.potential
     out = np.full(len(traj) - 1, np.nan)
     for k in range(1, len(traj)):
-        prev = traj.snapshots[k - 1]
-        cur = traj.snapshots[k]
-        sub = assemble_damage_subproblem(ops, traj.material, traj.potential,
-                                         prev.u, prev.chi, tau)
+        prev, cur = traj.snapshots[k - 1], traj.snapshots[k]
+        sub = assemble_damage_subproblem(ops, material, potential, prev.u,
+                                         prev.chi, traj.tau)
+        linear = (ops.w * cur.chi_t + material.a.d1(cur.chi) * sub.load
+                  + sub.drift)
+        if potential.smooth:
+            linear += ops.w * potential.breve_dW(cur.chi)
+        b_cur = sub.breve_sum(cur.chi)
         best = math.inf
         for phi in bank:
             b_new = sub.breve_sum(cur.chi + phi)
             if not np.isfinite(b_new):
                 continue
-            lhs = (np.dot(ops.w * cur.chi_t, phi)
-                   + banded_quadform(ops.S, cur.chi, phi)
-                   + np.dot(traj.material.a.d1(cur.chi) * sub.load, phi)
-                   + b_new - sub.breve_sum(cur.chi)
-                   + np.dot(sub.drift, phi))
+            lhs = np.dot(linear, phi) + banded_quadform(ops.S, cur.chi, phi)
+            if not potential.smooth:
+                lhs += b_new - b_cur
             best = min(best, float(lhs))
         out[k - 1] = best
     return out
@@ -491,6 +496,7 @@ def nonsmooth_vi_residual(traj: Trajectory, test_bank: Sequence[np.ndarray]):
 
 def apriori_monitors(traj: Trajectory) -> dict:
     """Discrete analogues of the a-priori bounded norms (reported, not asserted)."""
+    traj.require_every_step("apriori_monitors")
     ops = traj.ops
     tau = traj.tau
     sup_u_h1 = sup_v_l2 = sup_chi_h1 = sup_chi_inf = 0.0

@@ -334,7 +334,7 @@ def uedi_per_snapshot(traj, forcing, boundary, mono):
     """(E, D, cumulative work, slack, unidirectional) of the continuous-time
     UEDI on output times, one snapshot at a time."""
     ops, mat, pot = traj.ops, traj.material, traj.potential
-    times = traj.time_array()
+    times = traj.times
     n = len(traj)
     E = np.array([energy_per_snapshot(s, mat, pot, ops) for s in traj.snapshots])
     D = np.zeros(n)

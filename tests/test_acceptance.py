@@ -22,7 +22,7 @@ from damage_sim.discretization import (
     build_mesh,
     neumann_eigenbasis,
 )
-from damage_sim.forcing import CallableFactor, ConstantFactor, Forcing
+from damage_sim.forcing import ConstantFactor, Forcing, SineFactor
 from damage_sim.model import (
     MaterialLaw,
     ScenarioConfig,
@@ -224,8 +224,7 @@ def test_criterion_07_mean_identity():
     forcings = {
         "zero": Forcing.zero(),
         "constant": Forcing(profile=None, factor=ConstantFactor(0.7)),
-        "sin_2pi_t": Forcing(profile=None, factor=CallableFactor(
-            lambda t: math.sin(2.0 * math.pi * t))),
+        "sin_2pi_t": Forcing(profile=None, factor=SineFactor(1.0, 1.0)),
     }
     worst = 0.0
     for name, f in forcings.items():
@@ -283,7 +282,7 @@ def test_criterion_10_gronwall_envelope():
     pot = make_potential("quadratic")
     base_chi = lambda x: 0.8 + 0.1 * np.cos(np.pi * x)
     f = Forcing(profile=lambda x: np.cos(np.pi * x),
-                factor=CallableFactor(lambda t: 2.0 * math.sin(2 * math.pi * t)))
+                factor=SineFactor(2.0, 1.0))
 
     def weak_run(chi_init):
         return run_weak(ScenarioConfig(

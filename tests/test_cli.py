@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -440,6 +441,28 @@ import damage_sim.cli
 print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
 """)
     assert loaded == []
+
+
+def test_no_module_has_a_scipy_import_statement():
+    # the LAPACK routines come from scipy's compiled module, loaded by file;
+    # no module of the package imports scipy or one of its submodules
+    pkg = os.path.dirname(os.path.abspath(damage_sim.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("scipy_first", [False, True])

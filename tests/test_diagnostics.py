@@ -10,7 +10,6 @@ from damage_sim.diagnostics import (
     dissipation,
     energy,
     kappa,
-    one_sided_vi_residual,
     rei_check,
     relative_dissipation,
     relative_energy,
@@ -19,7 +18,7 @@ from damage_sim.diagnostics import (
     uedi_check,
 )
 from damage_sim.discretization import assemble_operators, build_mesh
-from damage_sim.forcing import CallableFactor, Forcing
+from damage_sim.forcing import Forcing, SineFactor
 from damage_sim.model import (
     MaterialLaw,
     ScenarioConfig,
@@ -29,7 +28,7 @@ from damage_sim.model import (
 )
 from damage_sim.strong_galerkin import run_strong
 from damage_sim.trajectory import Snapshot
-from damage_sim.weak_stepper import run_weak
+from damage_sim.weak_stepper import one_sided_vi_residual, run_weak
 
 from oracles import (
     dissipation_per_snapshot,
@@ -155,7 +154,7 @@ def test_edi_zero_data_run_is_exactly_zero():
 
 def test_edi_on_forced_run_nonnegative():
     f = Forcing(profile=lambda x: np.cos(np.pi * x),
-                factor=CallableFactor(lambda t: math.sin(2 * math.pi * t)))
+                factor=SineFactor(1.0, 1.0))
     cfg = _weak_config(forcing=f)
     traj = run_weak(cfg)
     rep = discrete_edi_check(traj)
@@ -261,8 +260,7 @@ def test_edi_requires_weak_mode():
 
 def test_uedi_on_robin_loaded_run():
     from damage_sim.forcing import BoundaryForcing
-    g = BoundaryForcing(factor=CallableFactor(
-        lambda t: 0.3 * math.sin(2 * math.pi * t)), weights=(1.0, -1.0))
+    g = BoundaryForcing(factor=SineFactor(0.3, 1.0), weights=(1.0, -1.0))
     cfg = _weak_config(material=material(gamma1=0.5, gamma2=1.0), boundary=g)
     traj = run_weak(cfg)
     rep = uedi_check(traj)
@@ -285,49 +283,33 @@ def test_edi_slack_tightens_with_inner_tolerance():
 # ---------------------------------------------------------------------------
 
 def test_vi_zero_test_function_gives_zero():
-    N = 9
-    ops = assemble_operators(build_mesh(N, 1.0))
-    s = snap(N, chi=np.full(N, 0.5))
-    val = one_sided_vi_residual(s, [np.zeros(N)], material(),
-                                make_potential("quadratic"), ops)
-    assert val == 0.0
+    res = one_sided_vi_residual(run_weak(_weak_config(K=4)), [np.zeros(31)])
+    assert res.shape == (4,) and np.all(res == 0.0)
 
 
 def test_vi_stationary_state_with_zero_gradient():
-    # W'(chi) = 0 at the center, no loads, chi_t = 0: LHS = 0 for psi = -1
-    N = 9
-    ops = assemble_operators(build_mesh(N, 1.0))
-    pot = make_potential("quadratic", {"center": 0.5})
-    s = snap(N, chi=np.full(N, 0.5))
-    val = one_sided_vi_residual(s, [np.full(N, -1.0)], material("constant"),
-                                pot, ops)
-    assert val == pytest.approx(0.0, abs=1e-14)
+    # W'(chi) = 0 at the center, no loads: chi stays put with chi_t = 0, and
+    # the left-hand side vanishes for psi = -1
+    cfg = _weak_config(K=4, u0=0.0, chi0=0.5, material=material("constant"),
+                       potential=make_potential("quadratic", {"center": 0.5}))
+    res = one_sided_vi_residual(run_weak(cfg), [np.full(31, -1.0)])
+    assert np.max(np.abs(res)) <= 1e-14
 
 
 def test_vi_on_computed_run_scheme_consistent_form():
-    cfg = _weak_config()
-    traj = run_weak(cfg)
-    N = cfg.N
-    bank = [np.full(N, -1.0), -1e-3 * traj.final.chi]
+    traj = run_weak(_weak_config())
+    N = traj.mesh.N
     hat = np.zeros(N)
     hat[N // 2] = -1.0
-    bank.append(hat)
-    worst = 0.0
-    for k in range(1, len(traj)):
-        val = one_sided_vi_residual(traj.snapshots[k], bank, cfg.material,
-                                    cfg.potential, traj.ops,
-                                    prev=traj.snapshots[k - 1])
-        worst = min(worst, val)
-    assert worst >= -1e-8
+    res = one_sided_vi_residual(traj, [np.full(N, -1.0),
+                                       -1e-3 * traj.final.chi, hat])
+    assert res.shape == (40,) and np.min(res) >= -1e-8
 
 
 def test_vi_rejects_positive_psi():
-    N = 9
-    ops = assemble_operators(build_mesh(N, 1.0))
-    s = snap(N, chi=np.full(N, 0.5))
-    with pytest.raises(ValueError):
-        one_sided_vi_residual(s, [np.full(N, 0.1)], material(),
-                              make_potential("quadratic"), ops)
+    traj = run_weak(_weak_config(K=2))
+    with pytest.raises(ValueError, match="nonpositive"):
+        one_sided_vi_residual(traj, [np.full(31, 0.1)])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +493,7 @@ def test_rei_slack_matches_quadratic_sum_on_compare_pair():
 def test_calibrated_envelope_transfers_to_smaller_perturbation():
     base_chi = lambda x: 0.8 + 0.1 * np.cos(np.pi * x)
     f = Forcing(profile=lambda x: np.cos(np.pi * x),
-                factor=CallableFactor(lambda t: 2.0 * math.sin(2 * math.pi * t)))
+                factor=SineFactor(2.0, 1.0))
     ref = run_weak(_weak_config(forcing=f, chi0=base_chi))
     runs = {}
     for eps in (1e-2, 1e-3):
@@ -532,8 +514,7 @@ def test_calibrate_requires_perturbed_data():
 
 def _sin_forcing(amplitude):
     return Forcing(profile=lambda x: np.cos(np.pi * x),
-                   factor=CallableFactor(
-                       lambda t: amplitude * math.sin(2 * math.pi * t)))
+                   factor=SineFactor(amplitude, 1.0))
 
 
 def test_calibrated_c_rei_is_the_sharp_envelope_constant():
@@ -598,7 +579,7 @@ def test_rei_pairs_recorded_reference_snapshots():
 def test_edi_series_path_matches_snapshot_recomputation():
     # stride 1 is checked from the snapshots, stride 5 from the in-run series
     f = Forcing(profile=lambda x: np.cos(np.pi * x),
-                factor=CallableFactor(lambda t: math.sin(2 * math.pi * t)))
+                factor=SineFactor(1.0, 1.0))
     full = run_weak(_weak_config(K=20, forcing=f))
     del full.extras["edi_series"]
     strided = run_weak(_weak_config(K=20, forcing=f, output_stride=5))

@@ -616,7 +616,7 @@ def test_predictor_start_iteration_counts(tmp_path):
     demo = json.loads((out / "run_report.json").read_text())["step_reports"]
     cfg, _ = load_scenario(str(CONFIG_DIR / "compare_demo.cfg"))
     surrogate, _ = run_strong(_refined(cfg))
-    compare = [r.to_dict() for r in surrogate.step_reports]
+    compare = [vars(r) for r in surrogate.step_reports]
     for reports, bound in ((demo, 320), (compare, 880)):
         assert all(r["inner_iterations"] >= 1 and r["newton_iterations"] >= 1
                    for r in reports)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from damage_sim.config import build_scenario, parse_config_text
+from damage_sim.diagnostics import discrete_edi_check
 from damage_sim.discretization import (
     assemble_operators,
     banded_quadform,
@@ -15,7 +16,6 @@ from damage_sim.discretization import (
 )
 from damage_sim.forcing import (
     BoundaryForcing,
-    CallableFactor,
     ConstantFactor,
     Forcing,
     LinearFactor,
@@ -38,7 +38,7 @@ from damage_sim.weak_stepper import (
     damage_step,
     damage_tau_max,
     momentum_step,
-    nonsmooth_vi_residual,
+    one_sided_vi_residual,
     run_weak,
     truncation_consistency_check,
 )
@@ -61,7 +61,7 @@ def _volume_means(forcing, K, tau, x_nodes):
 
 
 def test_local_means_of_linear_time_factor():
-    f = Forcing(profile=None, factor=CallableFactor(lambda t: t))
+    f = Forcing(profile=None, factor=LinearFactor(1.0))
     means = _volume_means(f, 2, 0.5, np.array([0.0, 1.0]))
     assert np.allclose(means[:, 0], [0.25, 0.75], atol=1e-12)
 
@@ -75,7 +75,7 @@ def test_local_means_of_constant():
 
 def test_local_means_of_sine_against_quadrature_oracle():
     fn = lambda t: math.sin(2 * math.pi * t)
-    f = Forcing(profile=None, factor=CallableFactor(fn))
+    f = Forcing(profile=None, factor=SineFactor(1.0, 1.0))
     tau = 0.25
     means = _volume_means(f, 4, tau, np.array([0.0, 1.0]))
     for k in range(4):
@@ -85,7 +85,7 @@ def test_local_means_of_sine_against_quadrature_oracle():
 
 @pytest.mark.parametrize("factor", [
     TableFactor(np.array([0.0, 0.3, 1.0]), np.array([1.0, -2.0, 0.5])),
-    CallableFactor(lambda t: math.sin(2 * math.pi * t) + 0.25 * t)])
+    SineFactor(1.3, 0.7)])
 def test_sampled_rows_are_profile_times_factor_bitwise(factor):
     x = np.linspace(0.0, 1.0, 17)
     # the cosine mix 0 + cos(pi x) + 0.5 cos(2 pi x) of strong_damage.cfg
@@ -535,6 +535,18 @@ def test_momentum_zero_data_gives_zero():
     assert res <= 1e-14
 
 
+def test_momentum_rejects_a_matrix_that_is_not_positive_definite():
+    # a(chi) = chi < 0 makes the elastic stiffness negative; at tau = 0.1 it
+    # outweighs the mass term, and ?ptsv stops at the first leading minor
+    N = 41
+    ops = assemble_operators(build_mesh(N, 1.0))
+    z = np.zeros(N)
+    with pytest.raises(MomentumSolveError,
+                       match="1th leading minor not positive definite"):
+        momentum_step(ops, material("identity"), np.full(N, -100.0), z, z,
+                      0.1, z, np.zeros(2))
+
+
 def test_solves_reject_non_finite_data():
     # the tridiagonal solves check their input as scipy's wrappers did
     ops = assemble_operators(build_mesh(11, 1.0))
@@ -725,12 +737,15 @@ def test_truncation_check_skips_unsuitable_degradation_shape():
     assert "shape" in rep.warning
 
 
+def _indicator_box_run(K=5):
+    return run_weak(_basic_config(
+        N=15, K=K, T=0.04 * K,
+        potential=make_potential("indicator_box", {"ell": 1.0})))
+
+
 def test_nonsmooth_vi_zero_test_function():
-    cfg = _basic_config(N=15, K=5, T=0.2,
-                        potential=make_potential("indicator_box", {"ell": 1.0}))
-    traj = run_weak(cfg)
-    res = nonsmooth_vi_residual(traj, [np.zeros(15)])
-    assert np.allclose(res, 0.0, atol=1e-15)
+    res = one_sided_vi_residual(_indicator_box_run(), [np.zeros(15)])
+    assert res.shape == (5,) and np.allclose(res, 0.0, atol=1e-15)
 
 
 def test_nonsmooth_vi_on_indicator_run_nonnegative():
@@ -739,29 +754,48 @@ def test_nonsmooth_vi_on_indicator_run_nonnegative():
         u0=lambda x: 0.5 * np.exp(-((x - 0.5) / 0.15) ** 2),
         potential=make_potential("indicator_box", {"ell": 1.0}), chi0=1.0)
     traj = run_weak(cfg)
-    bank = [np.full(21, -1e-3), -1e-3 * traj.final.chi, np.zeros(21)]
-    res = nonsmooth_vi_residual(traj, bank)
+    # the last entry takes chi below 0, out of the domain: it is skipped
+    bank = [np.full(21, -1e-3), -1e-3 * traj.final.chi, np.zeros(21),
+            np.full(21, -2.0)]
+    res = one_sided_vi_residual(traj, bank)
     assert np.min(res) >= -1e-8
+    assert np.array_equal(res, one_sided_vi_residual(traj, bank[:3]))
 
 
 def test_nonsmooth_vi_detects_monotonicity_violation():
-    cfg = _basic_config(N=15, K=5, T=0.2,
-                        potential=make_potential("indicator_box", {"ell": 1.0}))
-    traj = run_weak(cfg)
+    traj = _indicator_box_run()
     # inject an upward chi jump (staying inside [0, 1]): chi_t > 0 at one step
     traj.snapshots[3].chi = traj.snapshots[3].chi + 0.05
     traj.snapshots[3].chi_t = (traj.snapshots[3].chi
                                - traj.snapshots[2].chi) / traj.tau
-    bank = [np.full(15, -0.04)]
-    res = nonsmooth_vi_residual(traj, bank)
+    res = one_sided_vi_residual(traj, [np.full(15, -0.04)])
     assert np.min(res) < -1e-4
 
 
 def test_nonsmooth_vi_rejects_positive_test_function():
-    cfg = _basic_config(K=1)
+    traj = run_weak(_basic_config(K=1))
+    with pytest.raises(ValueError, match="nonpositive"):
+        one_sided_vi_residual(traj, [np.zeros(9), np.full(9, 0.1)])
+
+
+def _edi_from_snapshots(traj):
+    del traj.extras["edi_series"]
+    return discrete_edi_check(traj)
+
+
+@pytest.mark.parametrize("check", [
+    lambda traj: one_sided_vi_residual(traj, [np.zeros(15)]),
+    truncation_consistency_check, apriori_monitors, _edi_from_snapshots],
+    ids=["vi_residual", "truncation", "apriori", "edi_without_series"])
+def test_stepwise_checks_reject_a_strided_run(check):
+    # each pairs snapshots k - 1 and k as the ends of step k; at output
+    # stride 5 those are five steps apart
+    cfg = _basic_config(N=15, K=10, T=0.4, output_stride=5,
+                        u0=lambda x: 0.3 * np.cos(np.pi * x))
     traj = run_weak(cfg)
-    with pytest.raises(ValueError):
-        nonsmooth_vi_residual(traj, [np.full(9, 0.1)])
+    assert len(traj) == 3 and discrete_edi_check(traj).passed
+    with pytest.raises(ValueError, match="output stride 5"):
+        check(traj)
 
 
 def test_apriori_monitors_bounded_across_tau_ladder():
