@@ -50,10 +50,11 @@ Unknown keys are rejected with their section and name.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import importlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -340,7 +341,19 @@ def load_scenario(path: str, overrides=None):
     return build_scenario(flat), flat
 
 
+_SHA256_MODULE = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+try:
+    _sha256 = importlib.import_module(_SHA256_MODULE).sha256
+except ImportError:
+    raise ImportError(f"damage_sim needs CPython's built-in SHA-256 module "
+                      f"{_SHA256_MODULE}") from None
+
+
 def config_digest(flat: dict) -> str:
+    """SHA-256 hex digest of ``flat`` as canonical JSON (sorted keys, no
+    spaces).  CPython's built-in SHA-256 module computes it, not hashlib,
+    whose import maps OpenSSL's libcrypto (about 4 MB resident) for this
+    one small digest per run."""
     canon = json.dumps(flat, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return _sha256(canon.encode()).hexdigest()
 

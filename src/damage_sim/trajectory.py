@@ -180,9 +180,9 @@ def write_csv(path, header, columns) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=True)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=True)
+        fh.write("\n")
 
 
 @dataclass

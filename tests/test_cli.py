@@ -251,6 +251,46 @@ def test_tol_override_and_seed_reach_config_and_digest(tmp_path, monkeypatch):
     assert manifest["seed"] == 7
 
 
+def _standard_digest(flat):
+    canon = json.dumps(flat, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_config_digest_is_sha256_of_canonical_json(tmp_path, name):
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    flats = [load_scenario(path)[1],
+             load_scenario(path, {"tol.inner": 1e-8})[1],
+             load_scenario(write_cfg(tmp_path, config_text(name).replace(
+                 f'label = "{name}"', 'label = "Schädigung χ → 0"')))[1]]
+    assert flats[2]["label"] == "Schädigung χ → 0"
+    assert [cli.config_digest(f) for f in flats] == [
+        _standard_digest(f) for f in flats]
+    assert len({cli.config_digest(f) for f in flats}) == 3
+
+
+def test_config_digest_of_the_quadratic_config_is_pinned():
+    _, flat = load_scenario(str(CONFIG_DIR / "quadratic.cfg"))
+    assert cli.config_digest(flat) == (
+        "a18ed18c09cad367c7edb07f50369c88a538f2d7078900cf62aa3cc666d5fa6e")
+
+
+def test_missing_builtin_sha256_raises_import_error(tmp_path):
+    # no fall-back to hashlib
+    name, message, hashlib_loaded = _fresh_run(tmp_path, """
+import json, sys
+name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+sys.modules[name] = None
+try:
+    import damage_sim.config
+except ImportError as exc:
+    print(json.dumps([name, str(exc), "hashlib" in sys.modules]))
+""")
+    assert message.endswith(f"built-in SHA-256 module {name}")
+    assert not hashlib_loaded
+
+
 def test_invalid_material_exits_one_in_validate_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ZERO_DATA + "material.C = -1\n")
     assert main(["--config", cfg, "--mode", "validate",
@@ -417,10 +457,11 @@ def test_weak_mode_outputs_and_manifest(tmp_path):
 
 # the scipy package and scipy.linalg (the LAPACK routines come from scipy's
 # compiled module alone), scipy's quadrature, spline and special-function
-# modules, and what the quadrature and spline modules pull in
+# modules, and what the quadrature and spline modules pull in; hashlib and
+# the OpenSSL bindings (the config digest uses CPython's built-in SHA-256)
 HEAVY = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.interpolate",
          "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-         "scipy.fft")
+         "scipy.fft", "hashlib", "_hashlib", "_ssl")
 
 
 def _fresh_run(tmp_path, script):
@@ -445,7 +486,8 @@ print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
 
 def test_no_module_has_a_scipy_import_statement():
     # the LAPACK routines come from scipy's compiled module, loaded by file;
-    # no module of the package imports scipy or one of its submodules
+    # no module of the package imports scipy or one of its submodules, nor
+    # hashlib, which maps OpenSSL
     pkg = os.path.dirname(os.path.abspath(damage_sim.__file__))
     found = []
     for name in sorted(os.listdir(pkg)):
@@ -461,7 +503,7 @@ def test_no_module_has_a_scipy_import_statement():
             else:
                 continue
             found += [f"{name}:{node.lineno} {m}" for m in modules
-                      if m.split(".")[0] == "scipy"]
+                      if m.split(".")[0] in ("scipy", "hashlib")]
     assert found == []
 
 
@@ -514,6 +556,23 @@ print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
 """)
     assert status == 0
     assert loaded == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/self/maps")
+def test_weak_run_maps_no_openssl_library(tmp_path):
+    cfg = write_cfg(tmp_path, ZERO_DATA)
+    status, mapped = _fresh_run(tmp_path, """
+import json
+from damage_sim.cli import run_scenario
+status = run_scenario(%r, "weak", "out")
+with open("/proc/self/maps") as fh:
+    mapped = sorted({line.split()[-1] for line in fh
+                     if "libcrypto" in line or "libssl" in line})
+print(json.dumps([status, mapped]))
+""" % cfg)
+    assert status == 0
+    assert mapped == []
 
 
 @pytest.mark.parametrize("potential", ["quadratic", "logarithmic",

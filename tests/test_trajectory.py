@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from damage_sim import trajectory
+from damage_sim.config import load_scenario
 from damage_sim.discretization import assemble_operators, build_mesh
 from damage_sim.trajectory import (
     Snapshot,
@@ -14,6 +15,9 @@ from damage_sim.trajectory import (
     write_csv,
     write_json,
 )
+from damage_sim.weak_stepper import run_weak
+
+from suite_configs import CONFIG_DIR
 
 
 def _write_csv_per_value(path, header, columns):
@@ -180,3 +184,19 @@ def test_write_json_bytes_match_json_dump(tmp_path):
         fh.write("\n")
     assert got.read_bytes() == ref.read_bytes()
     assert b"NaN" in got.read_bytes() and b"-Infinity" in got.read_bytes()
+
+
+def test_write_json_streams_the_text(tmp_path):
+    # json.dump writes the encoder's chunks as they come: what it holds is
+    # encoder state and the text file's pending chunks (up to 8 KB of
+    # text), not the whole text, whereas building the text first holds its
+    # pieces, the joined text and its copy with the newline
+    cfg, _ = load_scenario(str(CONFIG_DIR / "quadratic.cfg"), {"mesh.N": 41})
+    payload = run_weak(cfg).run_report()
+    assert payload["steps"] == 400
+    path = tmp_path / "run_report.json"
+    tracemalloc.start()
+    write_json(path, payload)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
