@@ -27,14 +27,12 @@ lambda_0 = 0; all later modes have zero M-mean.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 __all__ = [
     "Mesh1D",
@@ -91,60 +89,78 @@ def banded_quadform(ab: np.ndarray, x: np.ndarray, y: Optional[np.ndarray] = Non
 # Tridiagonal solves call the LAPACK routines ?ptsv and ?gtsv directly
 # (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999): the routines, bits
 # and checks of solveh_banded and solve_banded((1, 1), ...) without the
-# wrappers' per-call cost.  They come from scipy's compiled LAPACK module,
-# loaded by file: the same routine objects as get_lapack_funcs returns,
-# without importing the scipy.linalg package (most of a process's start-up).
+# wrappers' per-call cost.  They come from the OpenBLAS that numpy's wheels
+# bundle (scipy-openblas64: ILP64 integers, symbols named scipy_<routine>_64_),
+# looked up through the handle of numpy's own extension, whose dlsym searches
+# the libraries it links, so no file name is needed.
 def _lapack_routines():
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        where = [os.path.join(d, "linalg")
-                 for d in (scipy.submodule_search_locations or [])] if scipy else []
-        spec = importlib.machinery.PathFinder.find_spec(name, where)
-        if spec is None:
-            raise ImportError(f"damage_sim needs scipy's compiled LAPACK module "
-                              f"{name}; not found in {where or sys.path}")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module.dptsv, module.dgtsv
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    try:
+        routines = lib.scipy_dptsv_64_, lib.scipy_dgtsv_64_
+    except AttributeError:
+        raise ImportError(
+            "damage_sim needs the LAPACK routines scipy_dptsv_64_ and "
+            "scipy_dgtsv_64_ of the scipy-openblas64 library that numpy's "
+            f"wheels bundle; numpy {np.__version__} does not export them"
+        ) from None
+    for routine, nargs in zip(routines, (7, 8)):
+        routine.argtypes = [ctypes.c_void_p] * nargs
+        routine.restype = None
+    return routines
 
 
 _PTSV, _GTSV = _lapack_routines()
+_NRHS = ctypes.c_int64(1)
+_NRHS_P = ctypes.addressof(_NRHS)
 
 
-def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+def _workspace(*arrays) -> tuple:
+    """One float64 copy of ``arrays``, joined along the first axis, and its
+    address; ValueError if it holds an inf or a NaN."""
+    buf = np.concatenate(arrays, dtype=float)
+    if not np.isfinite(buf).all():
         raise ValueError("array must not contain infs or NaNs")
+    return buf, ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
 def solve_spd_tridiag(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b, A SPD tridiagonal in banded symmetric storage (N >= 2);
-    ValueError on non-finite input, LinAlgError if A is not SPD."""
-    _require_finite(ab, b)
-    _, _, x, info = _PTSV(ab[1], ab[0, 1:], b)
-    if info > 0:
+    """Solve A x = b, A SPD tridiagonal in banded symmetric storage (2, N)
+    and b of shape (N,), N >= 2; ValueError on other shapes or non-finite
+    input, LinAlgError if A is not SPD.  The inputs are left untouched."""
+    buf, p = _workspace(ab, b[np.newaxis])      # rows: (pad, e), d, b
+    n = buf.shape[1]
+    if buf.shape[0] != 3 or n < 2:
+        raise ValueError(f"need ab of shape (2, N) and b of shape (N,), "
+                         f"N >= 2; got {ab.shape} and {b.shape}")
+    size, info = ctypes.c_int64(n), ctypes.c_int64()
+    s = ctypes.addressof(size)
+    _PTSV(s, _NRHS_P, p + 8 * n, p + 8, p + 16 * n, s,
+          ctypes.addressof(info))
+    if info.value:
         raise np.linalg.LinAlgError(
-            f"{info}th leading minor not positive definite")
-    return x
+            f"{info.value}th leading minor not positive definite")
+    return buf[2].copy()
 
 
 def solve_tridiag(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with sub-, main and superdiagonal dl, d,
-    du (partial pivoting); ValueError on non-finite input, LinAlgError if
-    singular.  A 1 x 1 system is b / d, as in solve_banded: f2py's ?gtsv
-    rejects an empty off-diagonal."""
-    _require_finite(dl, d, du, b)
-    if d.size == 1:
-        if d[0] == 0.0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return b / d
-    _, _, _, x, info = _GTSV(dl, d, du, b)
-    if info > 0:
+    du (partial pivoting), d and b of shape (N,); ValueError on other shapes
+    or non-finite input, LinAlgError if singular.  The inputs are left
+    untouched."""
+    n = d.size
+    if not (d.shape == b.shape == (n,) and dl.shape == du.shape == (n - 1,)):
+        raise ValueError(f"need diagonals of N - 1, N, N - 1 and b of N "
+                         f"entries; got {dl.shape}, {d.shape}, {du.shape} "
+                         f"and {b.shape}")
+    buf, p = _workspace(dl, d, du, b)
+    size, info = ctypes.c_int64(n), ctypes.c_int64()
+    s = ctypes.addressof(size)
+    _GTSV(s, _NRHS_P, p, p + 8 * (n - 1), p + 8 * (2 * n - 1),
+          p + 8 * (3 * n - 2), s, ctypes.addressof(info))
+    if info.value:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return buf[3 * n - 2:].copy()
 
 
 @dataclass(frozen=True)

@@ -455,13 +455,12 @@ def test_weak_mode_outputs_and_manifest(tmp_path):
     assert report["schema_version"] == 1
 
 
-# the scipy package and scipy.linalg (the LAPACK routines come from scipy's
-# compiled module alone), scipy's quadrature, spline and special-function
-# modules, and what the quadrature and spline modules pull in; hashlib and
-# the OpenSSL bindings (the config digest uses CPython's built-in SHA-256)
-HEAVY = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.interpolate",
-         "scipy.special", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-         "scipy.fft", "hashlib", "_hashlib", "_ssl")
+# an expression, run in the fresh interpreter, for the modules no run may
+# load: any scipy module (the LAPACK routines come from the OpenBLAS numpy
+# bundles), and hashlib and the OpenSSL bindings (the config digest uses
+# CPython's built-in SHA-256)
+HEAVY = ("sorted(m for m in sys.modules if m.startswith('scipy') "
+         "or m in ('hashlib', '_hashlib', '_ssl'))")
 
 
 def _fresh_run(tmp_path, script):
@@ -479,15 +478,15 @@ def test_import_loads_no_scipy_package(tmp_path):
     loaded = _fresh_run(tmp_path, f"""
 import json, sys
 import damage_sim.cli
-print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+print(json.dumps({HEAVY}))
 """)
     assert loaded == []
 
 
 def test_no_module_has_a_scipy_import_statement():
-    # the LAPACK routines come from scipy's compiled module, loaded by file;
-    # no module of the package imports scipy or one of its submodules, nor
-    # hashlib, which maps OpenSSL
+    # the LAPACK routines come from the OpenBLAS numpy bundles; no module of
+    # the package imports scipy or one of its submodules, nor hashlib, which
+    # maps OpenSSL
     pkg = os.path.dirname(os.path.abspath(damage_sim.__file__))
     found = []
     for name in sorted(os.listdir(pkg)):
@@ -507,52 +506,39 @@ def test_no_module_has_a_scipy_import_statement():
     assert found == []
 
 
-@pytest.mark.parametrize("scipy_first", [False, True])
-def test_lapack_routines_are_scipys_in_either_import_order(tmp_path,
-                                                           scipy_first):
-    imports = ["from scipy.linalg.lapack import get_lapack_funcs",
-               "import damage_sim.discretization as d"]
-    same = _fresh_run(tmp_path, "\n".join(
-        ["import json, numpy as np"] + imports[::1 if scipy_first else -1] + [
-            'ptsv, gtsv = get_lapack_funcs(("ptsv", "gtsv"), (np.empty(0),))',
-            "print(json.dumps([d._PTSV is ptsv, d._GTSV is gtsv]))"]))
-    assert same == [True, True]
-
-
-@pytest.mark.parametrize("scipy_found", [False, True])
-def test_missing_lapack_module_raises_import_error(tmp_path, scipy_found):
-    # find_spec("scipy") gives None, or a package in an empty directory
-    empty = tmp_path / "scipy"
-    empty.mkdir()
+@pytest.mark.parametrize("symbol", ["scipy_dptsv_64_", "scipy_dgtsv_64_"])
+def test_missing_lapack_symbol_raises_import_error(tmp_path, symbol):
+    # as with a numpy built against another BLAS: the lookup through numpy's
+    # extension finds no such symbol
     message = _fresh_run(tmp_path, f"""
-import importlib.machinery, importlib.util, json
+import ctypes, json
 
-def find_spec(name, package=None):
-    spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
-    spec.submodule_search_locations = [{str(empty)!r}]
-    return spec if {scipy_found!r} else None
+lookup = ctypes.CDLL.__getitem__
 
-importlib.util.find_spec = find_spec
+def getitem(self, name):
+    if name == {symbol!r}:
+        raise AttributeError(name)
+    return lookup(self, name)
+
+ctypes.CDLL.__getitem__ = getitem
 try:
     import damage_sim.discretization
 except ImportError as exc:
     print(json.dumps(str(exc)))
 """)
-    assert "scipy.linalg._flapack" in message
-    if scipy_found:
-        assert os.path.join(str(empty), "linalg") in message
+    assert "scipy_dptsv_64_" in message and "scipy_dgtsv_64_" in message
 
 
 def test_weak_run_imports_no_scipy_quadrature_or_splines(tmp_path):
     # preset time factors have closed-form means, so a weak run needs only
-    # numpy and scipy's compiled LAPACK module
+    # numpy
     cfg = write_cfg(tmp_path, ZERO_DATA + 'forcing.kind = "sin_t"\n'
                     'forcing.amplitude = 0.5\nforcing.freq = 3.0\n')
     status, loaded = _fresh_run(tmp_path, f"""
 import json, sys
 from damage_sim.cli import run_scenario
 status = run_scenario({cfg!r}, "weak", "out")
-print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
+print(json.dumps([status, {HEAVY}]))
 """)
     assert status == 0
     assert loaded == []
@@ -561,18 +547,23 @@ print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                     reason="needs /proc/self/maps")
 def test_weak_run_maps_no_openssl_library(tmp_path):
+    # nor scipy's LAPACK module and the second OpenBLAS it links: numpy's
+    # OpenBLAS is the only one
     cfg = write_cfg(tmp_path, ZERO_DATA)
     status, mapped = _fresh_run(tmp_path, """
-import json
+import json, os
 from damage_sim.cli import run_scenario
 status = run_scenario(%r, "weak", "out")
 with open("/proc/self/maps") as fh:
-    mapped = sorted({line.split()[-1] for line in fh
-                     if "libcrypto" in line or "libssl" in line})
-print(json.dumps([status, mapped]))
+    files = {os.path.basename(line.split()[-1]) for line in fh
+             if len(line.split()) > 5}
+print(json.dumps([status, sorted(f for f in files if any(
+    k in f for k in ("libcrypto", "libssl", "openblas", "_flapack")))]))
 """ % cfg)
     assert status == 0
-    assert mapped == []
+    assert not any(k in f for f in mapped
+                   for k in ("libcrypto", "libssl", "_flapack"))
+    assert len([f for f in mapped if "openblas" in f]) == 1
 
 
 @pytest.mark.parametrize("potential", ["quadratic", "logarithmic",
@@ -586,7 +577,7 @@ def test_strong_run_imports_no_scipy_quadrature_or_splines(tmp_path, potential):
 import json, sys
 from damage_sim.cli import run_scenario
 status = run_scenario({cfg!r}, "strong", "out")
-print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
+print(json.dumps([status, {HEAVY}]))
 """)
     assert status == 0
     assert seen == []
@@ -640,7 +631,7 @@ def test_compare_run_imports_no_scipy_package(tmp_path):
 import json, sys
 from damage_sim.cli import run_scenario
 status = run_scenario({cfg!r}, "compare", "out")
-print(json.dumps([status, [m for m in {HEAVY!r} if m in sys.modules]]))
+print(json.dumps([status, {HEAVY}]))
 """)
     assert status == 0
     assert loaded == []

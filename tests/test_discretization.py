@@ -206,8 +206,10 @@ def _gen_parts(gen):
     return gen[2, :-1], gen[1], gen[0, 1:]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 201])
+@pytest.mark.parametrize("n", [1, 2, 3, 201, 1025, 4097])
 def test_tridiag_helpers_match_scipy_bitwise(n):
+    # scipy's own LAPACK build is the independent oracle; 1025 and 4097 are
+    # the strong meshes
     for seed in range(5):
         spd, gen, b = _systems(n, seed)
         x = solve_tridiag(*_gen_parts(gen), b)
@@ -223,6 +225,8 @@ def test_tridiag_helpers_match_scipy_bitwise(n):
                                   solveh_banded(spd, b))
         # inputs are left untouched
         assert np.array_equal(b, _systems(n, seed)[2])
+        assert np.array_equal(gen, _systems(n, seed)[1])
+        assert np.array_equal(spd, _systems(n, seed)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -250,6 +254,28 @@ def test_tridiag_helpers_reject_non_finite_input(bad):
                 solve_spd_tridiag(spd, rhs)
         with pytest.raises(ValueError):
             solve_tridiag(*_gen_parts(gen), rhs)
+
+
+def test_tridiag_helpers_reject_mismatched_shapes():
+    spd, gen, b = _systems(5, 0)
+    dl, d, du = _gen_parts(gen)
+    for A, rhs in [(spd, b[:4]), (spd[:, :4], b), (spd[1], b),
+                   (np.vstack((spd, spd[1:])), b), (spd, b[:, None])]:
+        with pytest.raises(ValueError):
+            solve_spd_tridiag(A, rhs)
+    for parts in [(dl, d, du, b[:4]), (dl[:3], d, du, b), (dl, d, du[:3], b),
+                  (dl, d[:4], du, b), (dl, d, du, b[:, None]),
+                  (np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))]:
+        with pytest.raises(ValueError):
+            solve_tridiag(*parts)
+
+
+def test_tridiag_helpers_return_their_own_arrays():
+    # a solution is not a view into the solver's workspace, which would
+    # keep the workspace alive with it
+    spd, gen, b = _systems(201, 0)
+    for x in (solve_spd_tridiag(spd, b), solve_tridiag(*_gen_parts(gen), b)):
+        assert x.base is None and x.flags.owndata and x.shape == (201,)
 
 
 def test_tridiag_helpers_raise_linalg_error():
