@@ -41,9 +41,7 @@ def _write_energies(outdir, traj, edi=None):
     uedi = diag.uedi_check(traj)
     if edi is not None:
         # align the per-step EDI slack with the (possibly strided) outputs
-        idx = np.rint(uedi.times / traj.tau).astype(int)
-        idx = np.clip(idx, 0, edi.slack.size - 1)
-        edi_slack = edi.slack[idx]
+        edi_slack = edi.slack[np.rint(uedi.times / traj.tau).astype(int)]
     else:
         edi_slack = np.full_like(uedi.slack, np.nan)
     write_csv(os.path.join(outdir, "energies.csv"),
@@ -63,7 +61,7 @@ def export_report(traj, outdir: str, edi=None):
     return files, uedi
 
 
-def _manifest(outdir, files, digest, mode, status, extra=None):
+def _manifest(outdir, files, digest, mode, status, extra):
     inventory = {}
     for name in sorted(set(files)):
         path = os.path.join(outdir, name)
@@ -74,9 +72,8 @@ def _manifest(outdir, files, digest, mode, status, extra=None):
         "mode": mode,
         "exit_status": status,
         "files": inventory,
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     write_json(os.path.join(outdir, "manifest.json"), payload)
 
 
@@ -184,7 +181,9 @@ def _run_eigs_mode(config, outdir):
     n = config.strong.n_modes
     basis = neumann_eigenbasis(mesh, config.material.V, n,
                                tol_eig=config.tolerances.eig)
-    basis.to_csv(os.path.join(outdir, "eigenbasis.csv"))
+    write_csv(os.path.join(outdir, "eigenbasis.csv"),
+              ["x"] + [f"mode_{k}" for k in range(n + 1)],
+              [mesh.nodes, *basis.vectors.T])
     write_csv(os.path.join(outdir, "eigenvalues.csv"), ["k", "lambda"],
               [np.arange(n + 1), basis.eigenvalues])
     return ["eigenbasis.csv", "eigenvalues.csv"], 0, {}
@@ -231,13 +230,11 @@ _RUNNERS = {
 
 
 def run_scenario(config_path: str, mode: str | None, outdir: str,
-                 tol_overrides=None, seed=None) -> int:
+                 tol_overrides=None) -> int:
     """Execute one scenario pipeline in ``mode`` (None: the file's own);
     returns the process exit status."""
     t0 = time.perf_counter()
     overrides = {f"tol.{k}": float(v) for k, v in tol_overrides or ()}
-    if seed is not None:
-        overrides["seed"] = int(seed)
     config, flat = load_scenario(config_path, overrides)
     if mode is None:
         mode = config.mode
@@ -245,7 +242,6 @@ def run_scenario(config_path: str, mode: str | None, outdir: str,
         config.mode = mode
     os.makedirs(outdir, exist_ok=True)
     files, status, extra = _RUNNERS[mode](config, outdir)
-    extra = dict(extra or {}, seed=config.seed)
     _manifest(outdir, files, config_digest(flat), mode, status, extra)
     print(f"[damage-sim] {mode} finished in {time.perf_counter() - t0:.2f}s "
           f"(exit {status})", file=sys.stderr)
@@ -261,7 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tol-override", action="append", default=[],
                         metavar="K=V", help="override a tolerance field")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--sweep-configs", nargs="*", default=[],
                         help="config files for sweep mode")
     args = parser.parse_args(argv)
@@ -278,8 +273,7 @@ def main(argv=None) -> int:
             return _sweep(args.sweep_configs, args.out, overrides)
         if not args.config:
             parser.error("--config is required")
-        return run_scenario(args.config, args.mode, args.out, overrides,
-                            seed=args.seed)
+        return run_scenario(args.config, args.mode, args.out, overrides)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"[damage-sim] error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ strings, or comma lists of numbers.  Example::
     forcing.kind = "sin_t"
     forcing.amplitude = 0.5
 
-Sections: top-level ``label``, ``mode`` (one of ``MODES``), ``seed``,
+Sections: top-level ``label``, ``mode`` (one of ``MODES``),
 ``mesh.N``/``L``, ``time.T``/``K`` and ``output.stride``, which set the
 ``ScenarioConfig`` fields of those names (``output_stride`` for the last)
 and take their defaults there when absent; ``potential`` (``name`` and
@@ -89,7 +89,7 @@ __all__ = [
 MODES = ("weak", "strong", "compare", "regularize-demo", "eigs", "validate")
 
 # top-level key -> ScenarioConfig field
-_TOP_LEVEL = {"label": "label", "mode": "mode", "seed": "seed",
+_TOP_LEVEL = {"label": "label", "mode": "mode",
               "mesh.N": "N", "mesh.L": "L", "time.T": "T", "time.K": "K",
               "output.stride": "output_stride"}
 
@@ -164,7 +164,7 @@ def _pop_float(opts: dict, key: str, default: float, section: str) -> float:
 
 
 def _space_profile(kind: str, opts: dict, prefix: str, section: str):
-    if kind in ("one", "constant"):
+    if kind == "constant":
         value = _pop_float(opts, f"{prefix}_value", 1.0, section)
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
     if kind == "zero":
@@ -189,7 +189,8 @@ def _space_profile(kind: str, opts: dict, prefix: str, section: str):
         width = _pop_float(opts, f"{prefix}_width", 0.1, section)
         return lambda x: amp * np.exp(-((np.asarray(x, dtype=float) - center)
                                         / width) ** 2)
-    raise ConfigError(f"unknown spatial preset {kind!r}")
+    raise ConfigError(f"unknown spatial preset for {section}.{prefix}: "
+                      f"{kind!r}")
 
 
 def _time_factor(kind: str, opts: dict, section: str):
@@ -291,7 +292,7 @@ def build_scenario(flat: dict) -> ScenarioConfig:
         forcing = Forcing.zero()
     else:
         factor = _time_factor(fk, forcing_group, "forcing")
-        pkind = forcing_group.pop("profile", "one")
+        pkind = forcing_group.pop("profile", "constant")
         profile = _space_profile(pkind, forcing_group, "profile", "forcing")
         forcing = Forcing(profile=profile, factor=factor)
     if forcing_group:

@@ -175,9 +175,6 @@ class Operators:
     def mass_matvec(self, x):
         return banded_matvec(self.M, x)
 
-    def stiff_matvec(self, x):
-        return banded_matvec(self.S, x)
-
     def l2_norm(self, z) -> float:
         return float(np.sqrt(max(banded_quadform(self.M, z), 0.0)))
 
@@ -274,11 +271,6 @@ class EigenBasis:
 
     def synthesize(self, coeffs) -> np.ndarray:
         return self.vectors @ np.asarray(coeffs, dtype=float)
-
-    def to_csv(self, path) -> None:
-        from .trajectory import write_csv   # trajectory imports this module
-        write_csv(path, ["x"] + [f"mode_{k}" for k in range(self.n + 1)],
-                  [self.mesh.nodes, *self.vectors.T])
 
 
 def neumann_eigenbasis(mesh: Mesh1D, V: float, n: int,

@@ -1,9 +1,8 @@
 """Constitutive data for the 1D damage-viscoelasticity system.
 
 The material bundle carries the damage modulations a (elastic) and b
-(viscous), the scalar elasticity/viscosity moduli C and V, polynomial
-growth exponents for the second derivatives of a and b, and the three Robin
-boundary coefficients gamma0, gamma1, gamma2.
+(viscous), the scalar elasticity/viscosity moduli C and V, and the three
+Robin boundary coefficients gamma0, gamma1, gamma2.
 
 The double-well potential is always handled through its convex/concave
 split W(r) = W_breve(r) - ell/2 r^2 with W_breve convex, possibly nonsmooth
@@ -14,7 +13,7 @@ field of the split, and of nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,8 +123,6 @@ class MaterialLaw:
     b_floor: float = 1.0
     C: float = 1.0
     V: float = 1.0
-    growth_p: float = 1.0
-    growth_q: float = 1.0
     gamma0: float = 1.0
     gamma1: float = 0.0
     gamma2: float = 0.0
@@ -250,7 +247,7 @@ def make_potential(name: str, params: Optional[dict] = None) -> PotentialSplit:
     if name == "indicator_box":
         ell = _pop("ell", 0.0)
         _reject_extra(name, params)
-        return PotentialSplit(graph_indicator_box(0.0, 1.0), ell,
+        return PotentialSplit(graph_indicator_box(), ell,
                               name="indicator_box")
 
     if name == "smooth_double_well":
@@ -296,7 +293,6 @@ class CheckResult:
     name: str
     passed: bool
     witness: Optional[float] = None
-    fitted: Optional[float] = None
     detail: str = ""
 
 
@@ -321,14 +317,8 @@ class ValidationReport:
                    ("a_nondecreasing", "a_vanishing_nonpositive", "a_convex"))
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness,
-                 "fitted": c.fitted, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def default_validation_grid() -> np.ndarray:
@@ -339,13 +329,10 @@ def validate_material(law: MaterialLaw, grid=None,
                       tol: float = 1e-9) -> ValidationReport:
     """Check the constitutive assumptions on a sample grid.
 
-    Pointwise conditions (monotonicity, vanishing on the negative axis,
-    convexity via second differences, the b-floor) are certified on the grid
-    with a witness point on failure; C, V > 0 and gamma_i >= 0 need no
-    check, since ``MaterialLaw`` rejects the rest.  The growth conditions on
-    a'' and b'' are reported through the fitted constants
-    kappa = max |f''(r)| / (|r|^p + 1); they always pass unless the fit is
-    non-finite.
+    Four pointwise conditions are certified on the grid, with a witness
+    point on failure: a is nondecreasing, vanishes on the negative axis and
+    is convex (second differences), and b stays above its floor.  C, V > 0
+    and gamma_i >= 0 need no check, since ``MaterialLaw`` rejects the rest.
     """
     grid = default_validation_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -353,13 +340,13 @@ def validate_material(law: MaterialLaw, grid=None,
     grid = np.sort(grid)
     checks = []
 
-    def add(name, ok_mask, values=None, fitted=None, detail=""):
+    def add(name, ok_mask, values=None, detail=""):
         ok = bool(np.all(ok_mask))
         witness = None
         if not ok:
             idx = int(np.argmin(ok_mask.astype(int)))
             witness = float(grid[idx] if values is None else values[idx])
-        checks.append(CheckResult(name, ok, witness, fitted, detail))
+        checks.append(CheckResult(name, ok, witness, detail))
 
     scale = float(np.max(np.abs(grid))) + 1.0
 
@@ -374,18 +361,6 @@ def validate_material(law: MaterialLaw, grid=None,
 
     bv = law.b(grid)
     add("b_floor", bv >= law.b_floor - tol, detail=f"floor={law.b_floor:g}")
-
-    for fn, p, label in ((law.a, law.growth_p, "a"), (law.b, law.growth_q, "b")):
-        if fn.d2 is None:
-            checks.append(CheckResult(f"growth_{label}", True,
-                                      detail="no second derivative supplied"))
-            continue
-        ratio = np.abs(fn.d2(grid)) / (np.abs(grid) ** p + 1.0)
-        kappa = float(np.max(ratio))
-        checks.append(CheckResult(
-            f"growth_{label}", bool(np.isfinite(kappa)), fitted=kappa,
-            detail=f"|{label}''| <= kappa (|r|^{p:g} + 1) with fitted kappa"))
-
     return ValidationReport(checks)
 
 
@@ -433,10 +408,6 @@ class StrongSettings:
         n = int(self.schedule_n)
         # nu_n^(1/2)/delta_n = 2^-n -> 0 along the schedule
         return replace(self, delta=2.0 ** -n, nu=2.0 ** (-4 * n), schedule_n=n)
-
-    @property
-    def scaling_ratio(self) -> float:
-        return math.sqrt(self.nu) / self.delta
 
 
 @dataclass(frozen=True)
@@ -493,7 +464,6 @@ class ScenarioConfig:
     regularize: RegularizeDemoSettings = field(
         default_factory=RegularizeDemoSettings)
     output_stride: int = 1
-    seed: int = 0
     label: str = ""
 
     @property

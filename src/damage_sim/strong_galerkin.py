@@ -50,7 +50,7 @@ they resolve to delta = 2^-n, nu = 2^-4n.  The resolved settings are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -111,8 +111,6 @@ class BlowupMonitor:
     psi: list = field(default_factory=list)
     nu_omega_t_sq: list = field(default_factory=list)
     horizon_time: Optional[float] = None
-    growth_beta: Optional[float] = None
-    horizon_formula: Optional[float] = None
 
     @property
     def horizon_hit(self) -> bool:
@@ -129,31 +127,9 @@ class BlowupMonitor:
         self.psi.append(val)
         return val
 
-    def finalize_formula(self, p: float, q: float) -> None:
-        """Exploratory only: the local-horizon formula with the growth
-        exponents; the Gronwall constant is not explicit, so nothing is
-        asserted against this value."""
-        rho = max(p, q)
-        beta = max(4.0 * rho + 12.0, 4.0 * p)
-        self.growth_beta = beta
-        psi0 = self.psi[0] if self.psi else 1.0
-        self.horizon_formula = psi0 ** (1.0 - beta) / (2.0 * (beta - 1.0))
-
     def to_dict(self) -> dict:
-        return {
-            "psi_max": self.psi_max,
-            "times": list(self.times),
-            "psi": list(self.psi),
-            "ut_h2": list(self.ut_h2),
-            "chi_h2": list(self.chi_h2),
-            "omega_l2": list(self.omega_l2),
-            "int_ut_h3": list(self.int_ut_h3),
-            "nu_omega_t_sq": list(self.nu_omega_t_sq),
-            "horizon_time": self.horizon_time,
-            "growth_beta": self.growth_beta,
-            "horizon_formula_exploratory": self.horizon_formula,
-            "verdict": "horizon" if self.horizon_hit else "completed",
-        }
+        return dict(asdict(self),
+                    verdict="horizon" if self.horizon_hit else "completed")
 
 
 @dataclass
@@ -554,5 +530,4 @@ def run_strong(config: ScenarioConfig):
             if psi > params.psi_max:
                 monitor.horizon_time = state.t
                 break
-    monitor.finalize_formula(config.material.growth_p, config.material.growth_q)
     return traj, monitor

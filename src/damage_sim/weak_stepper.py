@@ -55,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagnostics import BLOCK, step_series
 from .discretization import (
     Operators,
     assemble_operators,
@@ -66,7 +67,12 @@ from .discretization import (
     weighted_stiffness_banded,
 )
 from .forcing import local_time_means
-from .model import MaterialLaw, PotentialSplit, ScenarioConfig
+from .model import (
+    MaterialLaw,
+    PotentialSplit,
+    ScenarioConfig,
+    validate_material,
+)
 from .trajectory import Snapshot, StepReport, Trajectory
 
 __all__ = [
@@ -335,8 +341,6 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
     stacked (``diagnostics.step_series``) every BLOCK steps and at the last
     one, so long runs hold O(BLOCK N) beyond the retained snapshots.
     """
-    from .diagnostics import BLOCK, step_series
-
     mesh = build_mesh(config.N, config.L)
     ops = assemble_operators(mesh)
     config.validate(mesh.nodes)
@@ -415,17 +419,15 @@ class TruncationReport:
     passed: bool = True
 
 
-def truncation_consistency_check(traj: Trajectory, tol: float = 1e-10,
-                                 hyp_grid=None) -> TruncationReport:
+def truncation_consistency_check(traj: Trajectory,
+                                 tol: float = 1e-10) -> TruncationReport:
     """Verify chi^k = max(chi^k, 0) and P((chi^k)^+) <= P(chi^k) stepwise.
 
     Only meaningful when a is nondecreasing, vanishing on the negative axis,
     and convex; otherwise the check is skipped with a warning.
     """
-    from .model import validate_material
-
     traj.require_every_step("the truncation consistency check")
-    report = validate_material(traj.material, hyp_grid)
+    report = validate_material(traj.material)
     if not report.degradation_shape_ok():
         return TruncationReport(
             skipped=True, passed=True,

@@ -208,14 +208,31 @@ def test_unknown_key_in_each_section_exits_one(tmp_path, capsys, line, key):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("line", [
-    "tol.vi = 1e-8", "tol.ell = 1e-10", "tol.reg = 1e-7", "tol.quad = 1e-12",
-    "compare.n_modes = 6", "compare.delta = 0.01", "compare.nu = 1e-8",
-    "eigs.n_modes = 3",
-])
-def test_removed_keys_rejected(line):
-    with pytest.raises(ConfigError, match=line.split(".")[1].split(" ")[0]):
+REMOVED_KEYS = [
+    ("tol.vi = 1e-8", "vi"), ("tol.ell = 1e-10", "ell"),
+    ("tol.reg = 1e-7", "reg"), ("tol.quad = 1e-12", "quad"),
+    ("compare.n_modes = 6", "n_modes"), ("compare.delta = 0.01", "delta"),
+    ("compare.nu = 1e-8", "nu"), ("eigs.n_modes = 3", "n_modes"),
+    ("seed = 7", "seed"), ("material.growth_p = 2.0", "growth_p"),
+    ("material.growth_q = 2.0", "growth_q"),
+    # the spatial preset "one" is gone; "constant" gives the same field
+    ('forcing.kind = "constant"\nforcing.profile = "one"', "forcing.profile"),
+]
+
+
+@pytest.mark.parametrize("line, key", REMOVED_KEYS,
+                         ids=[line.splitlines()[-1] for line, _ in REMOVED_KEYS])
+def test_removed_keys_rejected(line, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         build_scenario(parse_config_text(ZERO_DATA + line + "\n"))
+
+
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, ZERO_DATA)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_bad_settings_value_is_a_config_error():
@@ -231,7 +248,7 @@ def test_cli_unknown_tol_override_exits_one(tmp_path, capsys):
     assert "unknown tol keys: ['bogus']" in err and "Traceback" not in err
 
 
-def test_tol_override_and_seed_reach_config_and_digest(tmp_path, monkeypatch):
+def test_tol_override_reaches_config_and_digest(tmp_path, monkeypatch):
     seen = []
     real = cli.run_weak
 
@@ -242,13 +259,11 @@ def test_tol_override_and_seed_reach_config_and_digest(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_weak", spy)
     cfg = write_cfg(tmp_path, ZERO_DATA)
     out = tmp_path / "out"
-    assert run_scenario(cfg, "weak", str(out), [("inner", "1e-8")],
-                        seed=7) == 0
-    assert seen[0].tolerances.inner == 1e-8 and seen[0].seed == 7
+    assert run_scenario(cfg, "weak", str(out), [("inner", "1e-8")]) == 0
+    assert seen[0].tolerances.inner == 1e-8
     manifest = json.loads((out / "manifest.json").read_text())
-    _, flat = load_scenario(cfg, {"tol.inner": 1e-8, "seed": 7})
+    _, flat = load_scenario(cfg, {"tol.inner": 1e-8})
     assert manifest["config_hash"] == cli.config_digest(flat)
-    assert manifest["seed"] == 7
 
 
 def _standard_digest(flat):
@@ -351,19 +366,19 @@ def test_validate_mode_reports_a_bad_size_in_its_payload(tmp_path, line,
 
 
 def test_omitted_top_level_keys_take_the_scenario_defaults():
-    top = ("label", "mode", "seed", "mesh.", "time.", "output.")
+    top = ("label", "mode", "mesh.", "time.", "output.")
     text = "\n".join(line for line in ZERO_DATA.splitlines()
                      if not line.startswith(top))
     cfg = build_scenario(parse_config_text(text))
     defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
-    names = ("N", "L", "T", "K", "mode", "output_stride", "seed", "label")
+    names = ("N", "L", "T", "K", "mode", "output_stride", "label")
     assert [getattr(cfg, k) for k in names] == [defaults[k] for k in names]
     assert (cfg.N, cfg.L, cfg.T, cfg.K) == (201, 1.0, 1.0, 400)
 
 
 @pytest.mark.parametrize("key, attr", [
     ("mesh.N", "N"), ("time.K", "K"), ("output.stride", "output_stride"),
-    ("seed", "seed"), ("strong.n_modes", "strong.n_modes"),
+    ("strong.n_modes", "strong.n_modes"),
     ("strong.steps", "strong.steps"), ("strong.schedule_n", "strong.schedule_n"),
     ("compare.refine_space", "compare.refine_space"),
     ("compare.refine_time", "compare.refine_time"),
@@ -425,6 +440,9 @@ def test_validate_mode_shape_preset(tmp_path):
     payload = json.loads((out / "validation.json").read_text())
     assert payload["degradation_shape_ok"] is True
     assert payload["material"]["passed"] is True
+    # the four pointwise checks, and nothing that cannot fail
+    assert [c["name"] for c in payload["material"]["checks"]] == [
+        "a_nondecreasing", "a_vanishing_nonpositive", "a_convex", "b_floor"]
 
 
 def test_weak_mode_zero_data_all_slacks_zero(tmp_path):
@@ -590,6 +608,9 @@ def test_strong_mode_outputs(tmp_path):
     assert status == 0
     monitor = json.loads((out / "monitor.json").read_text())
     assert monitor["verdict"] == "completed"
+    assert set(monitor) == {
+        "psi_max", "times", "psi", "ut_h2", "chi_h2", "omega_l2", "int_ut_h3",
+        "nu_omega_t_sq", "horizon_time", "verdict"}
     report = json.loads((out / "report.json").read_text())
     assert report["mean_identity_residual_max"] <= 1e-9
 

@@ -117,18 +117,6 @@ def test_validate_material_identity_a_fails_vanishing():
     assert not report.degradation_shape_ok()
 
 
-def test_growth_fit_on_quadratic_plus():
-    # |a''(r)| = 2 on r > 0, so kappa = max |a''| / (|r|^1 + 1) = 2 at r -> 0+
-    law = _law(growth_p=1.0)
-    report = validate_material(law, np.linspace(-10, 10, 2001))
-    fitted = report["growth_a"].fitted
-    assert fitted <= 2.0 + 1e-9
-    # independent grid maximization
-    grid = np.linspace(-10, 10, 2001)
-    kappa = np.max(np.abs(law.a.d2(grid)) / (np.abs(grid) + 1.0))
-    assert fitted == pytest.approx(kappa)
-
-
 def test_validate_material_is_deterministic():
     law = _law()
     grid = np.linspace(-5, 5, 501)

@@ -225,7 +225,9 @@ def test_make_W_delta_quadratic_exact():
 
 
 def test_make_I_delta_normalization():
-    for delta in (0.3, 0.1, 0.05):
+    # at 1e-7 and 2^-22 the drift at 0, about 0.17 delta, is below the
+    # 1e-14/delta tolerance; only the translation makes it exactly zero
+    for delta in (0.3, 0.1, 0.05, 1e-7, 2.0 ** -22):
         reg = make_I_delta(delta)
         assert reg.eval_all(0.0)[0] == 0.0
         xs = np.linspace(-2, 0, 41)

@@ -70,8 +70,8 @@ def make_sops(N=41, delta=0.1, nu=1e-4, n_modes=6, potential=None,
 # ---------------------------------------------------------------------------
 
 def test_schedule_satisfies_vanishing_scaling():
-    ratios = [StrongSettings(schedule_n=n).resolved().scaling_ratio
-              for n in range(1, 6)]
+    pairs = [StrongSettings(schedule_n=n).resolved() for n in range(1, 6)]
+    ratios = [math.sqrt(p.nu) / p.delta for p in pairs]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] < ratios[0] / 10
 
@@ -345,7 +345,7 @@ def test_coherence_invariant_along_the_run():
     ops = traj.ops
     reg = traj.extras["reg_W"]
     for s in traj.snapshots:
-        r = (ops.stiff_matvec(s.chi) / ops.w + reg.value(s.chi)
+        r = (banded_matvec(ops.S, s.chi) / ops.w + reg.value(s.chi)
              + s.chi - s.omega)
         assert np.sqrt(np.dot(ops.w, r * r)) <= 1e-9
 
@@ -414,13 +414,6 @@ def test_horizon_detection_is_reported_not_raised():
     assert mon.horizon_time is not None
     assert len(traj) >= 1
     assert mon.to_dict()["verdict"] == "horizon"
-
-
-def test_blowup_monitor_reports_exploratory_formula():
-    cfg = _strong_config()
-    _, mon = run_strong(cfg)
-    assert mon.growth_beta == pytest.approx(16.0)   # 4*rho + 12 with rho = 1
-    assert mon.horizon_formula is not None
 
 
 def test_stage_failure_carries_failed_step_and_partial_trajectory(monkeypatch):
