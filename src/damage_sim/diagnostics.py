@@ -495,12 +495,14 @@ _C_LO, _C_HI = 1e-8, 1e8
 
 
 def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory) -> float:
-    """Smallest C_REI >= _C_LO making the envelope of the relative energy
-    inequality, R(t) <= R(0) exp(C int K_hat) (1 + 1e-12), hold at every
-    output time of a trusted pair.  K is linear in C, so R and K_hat are
-    read from ``rei_check`` at C_REI = 1, and each time where R exceeds
-    R(0) (1 + 1e-12) needs C >= ln(R / (R(0) (1 + 1e-12))) / int K_hat:
-    infinite, so infeasible, where int K_hat = 0."""
+    """Smallest C_REI >= _C_LO at which ``rei_check``'s envelope of the
+    relative energy inequality, R(t) <= R(0) exp(C int K_hat) (1 + 1e-12),
+    holds at every output time of a trusted pair.  K is linear in C, so R
+    and K_hat are read from ``rei_check`` at C_REI = 1, and each time where
+    R exceeds R(0) (1 + 1e-12) needs C >= ln(R / (R(0) (1 + 1e-12))) / int
+    K_hat: infinite, so infeasible, where int K_hat = 0.  ``rei_check``
+    multiplies C into each K before the sum and the exp, so that quotient
+    may fall a few ulps short; it is raised ulp by ulp until it does not."""
     rep = rei_check(traj, ref_traj, c_rei=1.0)
     R, cumK = rep.R, _cumtrapz(rep.K, rep.times)
     if R[0] <= 0.0:
@@ -511,4 +513,7 @@ def calibrate_c_rei(traj: Trajectory, ref_traj: Trajectory) -> float:
         c = float(np.max(np.log(R[over] / bound) / cumK[over], initial=_C_LO))
     if c > _C_HI:
         raise ValueError("relative energy inequality infeasible for any C_REI")
+    while np.any(R > R[0] * np.exp(_cumtrapz(c * rep.K, rep.times))
+                 * (1.0 + 1e-12)):
+        c = float(np.nextafter(c, np.inf))
     return c

@@ -45,12 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """A scalar function bundle with (optional) first and second derivatives."""
+    """A scalar function with its first and second derivatives."""
 
     name: str
     f: Callable
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
+    d1: Callable
+    d2: Callable
 
     def __call__(self, r):
         return self.f(np.asarray(r, dtype=float))
@@ -163,8 +163,6 @@ class PotentialSplit:
         return self.convex_part.derivative is not None
 
     def breve_W(self, r):
-        if self.convex_part.potential is None:
-            raise ValueError(f"potential {self.name!r} has no evaluable convex part")
         return self.convex_part.potential(_arr(r))
 
     def breve_dW(self, r):

@@ -98,9 +98,9 @@ class MonotoneGraph:
     ----------
     prox : callable(lam, x) -> y
         Resolvent J_lam(x); must accept numpy arrays in both arguments.
-    potential : callable or None
+    potential : callable
         The convex potential beta_hat (np.inf outside its domain).
-    minimal_section : callable or None
+    minimal_section : callable
         The minimal-norm selection beta^o(x) (nan outside the domain of
         beta); for smooth single-valued graphs this is beta itself.
     derivative, second_derivative : callable or None
@@ -119,8 +119,8 @@ class MonotoneGraph:
 
     name: str
     prox: Callable
-    potential: Optional[Callable] = None
-    minimal_section: Optional[Callable] = None
+    potential: Callable
+    minimal_section: Callable
     derivative: Optional[Callable] = None
     second_derivative: Optional[Callable] = None
     kinks: tuple = ()
@@ -205,15 +205,19 @@ def graph_smooth(
     fn: Callable,
     dfn: Callable,
     d2fn: Callable,
-    potential: Optional[Callable] = None,
+    potential: Callable,
     domain: tuple = (-np.inf, np.inf),
     anchor: float = 0.0,
 ) -> MonotoneGraph:
-    """Graph of a smooth increasing function beta = fn with beta' = dfn and
-    beta'' = d2fn.
+    """Graph of a smooth increasing function beta = fn with beta' = dfn,
+    beta'' = d2fn and convex potential ``potential``.
 
     The prox rule is a safeguarded vectorized Newton iteration on
-    y + lam * fn(y) = x restricted to the open domain.  Each point leaves the
+    y + lam * fn(y) = x restricted to the open domain.  A finite domain end
+    bounds the bracket of the root; an unbounded lower side is bracketed by
+    min(x, 0) - 1, which needs fn(0) <= 0, and an unbounded upper side by
+    max(x, 0) + 1, which needs fn(0) >= 0.  A graph that breaks either
+    condition is rejected with ValueError.  Each point leaves the
     iteration on its own test, so its value does not depend on the other
     points of the call.  A Newton step that keeps the sign of the
     residual and does not halve it is replaced by a bisection of the bracket
@@ -221,30 +225,18 @@ def graph_smooth(
     be its derivative, and Newton would crawl.
     """
     lo, hi = domain
+    if (np.isinf(lo) and fn(0.0) > 0.0) or (np.isinf(hi) and fn(0.0) < 0.0):
+        raise ValueError(f"graph {name!r}: fn(0) must be <= 0 on an unbounded "
+                         "lower side and >= 0 on an unbounded upper side")
 
     def _prox(lam, x):
         x = np.asarray(x, dtype=float)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), x.shape).copy()
         pad = 1e-12 if np.isfinite(lo) or np.isfinite(hi) else 0.0
-        if np.isfinite(lo):
-            ylo = np.full(x.shape, lo + pad)
-        else:
-            # expand geometrically until the residual brackets the root
-            ylo = np.minimum(x, 0.0) - 1.0
-            for _ in range(200):
-                bad = ylo + lam * fn(ylo) - x > 0
-                if not np.any(bad):
-                    break
-                ylo = np.where(bad, 2.0 * ylo - 1.0, ylo)
-        if np.isfinite(hi):
-            yhi = np.full(x.shape, hi - pad)
-        else:
-            yhi = np.maximum(x, 0.0) + 1.0
-            for _ in range(200):
-                bad = yhi + lam * fn(yhi) - x < 0
-                if not np.any(bad):
-                    break
-                yhi = np.where(bad, 2.0 * yhi + 1.0, yhi)
+        ylo = (np.full(x.shape, lo + pad) if np.isfinite(lo)
+               else np.minimum(x, 0.0) - 1.0)
+        yhi = (np.full(x.shape, hi - pad) if np.isfinite(hi)
+               else np.maximum(x, 0.0) + 1.0)
         y = np.clip(x, ylo, yhi)
         live = np.ones(x.shape, dtype=bool)
         r_old = np.zeros(x.shape)
@@ -471,8 +463,6 @@ class RegularizedFunction:
 
     def _envelope(self, y):
         """Moreau envelope e_delta of the parent potential at y, unshifted."""
-        if self.graph.potential is None:
-            raise ValueError("graph has no analytic potential")
         j = self.graph.prox(self.delta, y)
         return (y - j) ** 2 / (2.0 * self.delta) + self.graph.potential(j)
 
@@ -483,8 +473,6 @@ class RegularizedFunction:
                 - self.vshift * (x - self.graph.anchor))
 
     def ref_potential(self, x):
-        if self.graph.potential is None:
-            raise ValueError("graph has no analytic potential")
         x = np.asarray(x, dtype=float)
         return (self.graph.potential(x - self.shift)
                 - self.vshift * (x - self.graph.anchor))
@@ -637,17 +625,12 @@ class PropertyReport:
 
 
 def regularization_property_check(reg: RegularizedFunction, grid,
-                                  tol: float = 1e-7,
-                                  claimed_delta: Optional[float] = None) -> PropertyReport:
-    """Verify the four quantitative regularization bounds on a sample grid.
-
-    ``claimed_delta`` lets the caller check the function against metadata that
-    may disagree with the actual construction; bounds use the claimed value.
-    """
+                                  tol: float = 1e-7) -> PropertyReport:
+    """Verify the four quantitative regularization bounds on a sample grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    d = reg.delta if claimed_delta is None else claimed_delta
+    d = reg.delta
     m = reg.mollifier
     v, d1, d2 = reg.eval_all(grid)
     yos = reg.ref_yosida(grid)
@@ -665,22 +648,21 @@ def regularization_property_check(reg: RegularizedFunction, grid,
     add("first_derivative", np.abs(d1), 1.0 / d + tol)
     add("second_derivative", np.abs(d2), m.c_hat / d**3 + tol)
 
-    if reg.graph.potential is not None:
-        pot = reg.potential_on_grid(grid)
-        env = reg.ref_envelope(grid)
-        parent = reg.ref_potential(grid)
-        x0 = reg.graph.anchor
-        slack_low = pot - (env - d * np.abs(grid - x0))
-        slack_up = (parent + d * np.abs(grid - x0)) - pot
-        finite = np.isfinite(parent)
-        sandwich = np.minimum(slack_low, np.where(finite, slack_up, np.inf))
-        worst_idx = int(np.argmin(sandwich))
-        worst = float(sandwich[worst_idx])
-        checks.append(BoundCheck(
-            name="potential_sandwich", bound=-tol, worst=worst,
-            margin=worst + tol, witness=float(grid[worst_idx]),
-            passed=worst >= -tol,
-        ))
+    pot = reg.potential_on_grid(grid)
+    env = reg.ref_envelope(grid)
+    parent = reg.ref_potential(grid)
+    x0 = reg.graph.anchor
+    slack_low = pot - (env - d * np.abs(grid - x0))
+    slack_up = (parent + d * np.abs(grid - x0)) - pot
+    finite = np.isfinite(parent)
+    sandwich = np.minimum(slack_low, np.where(finite, slack_up, np.inf))
+    worst_idx = int(np.argmin(sandwich))
+    worst = float(sandwich[worst_idx])
+    checks.append(BoundCheck(
+        name="potential_sandwich", bound=-tol, worst=worst,
+        margin=worst + tol, witness=float(grid[worst_idx]),
+        passed=worst >= -tol,
+    ))
     return PropertyReport(delta=reg.delta, checks=checks)
 
 

@@ -420,17 +420,6 @@ def step_regularized(sops: StrongOperators, state: SpectralState, tau: float,
     return out, records, counts
 
 
-def _at_step(traj, k: int, solve, *args, **kw):
-    """solve(*args, **kw); a StageError leaves with the partial trajectory
-    and the failed step k attached."""
-    try:
-        return solve(*args, **kw)
-    except StageError as exc:
-        exc.partial_trajectory = traj
-        exc.failed_step = k
-        raise
-
-
 def run_strong(config: ScenarioConfig):
     """Integrate the regularized spectral system; returns (Trajectory, BlowupMonitor).
 
@@ -468,8 +457,9 @@ def run_strong(config: ScenarioConfig):
     cdot0 = basis.project(ops, v0)
     omega0 = sops.omega_of_chi(chi0)
     if params.varpi0 == "slaved":
-        omega_t0 = _at_step(traj, 0, _slaved_omega_t, sops, chi0,
-                            basis.synthesize(c0), omega0, config.tolerances.ode)
+        with traj.failing_at(0, StageError):
+            omega_t0 = _slaved_omega_t(sops, chi0, basis.synthesize(c0),
+                                       omega0, config.tolerances.ode)
     else:
         omega_t0 = np.full(mesh.N, float(params.varpi0))
     chi_t0 = chi_rate_from_omega_rate(sops, chi0, omega_t0)
@@ -518,9 +508,10 @@ def run_strong(config: ScenarioConfig):
 
     for k in range(1, steps + 1):
         kind = "be" if k <= _STARTUP_STEPS else "midpoint"
-        state, recs, counts = _at_step(traj, k, step_regularized, sops, state,
-                                       tau, forcing_modal,
-                                       tol_ode=config.tolerances.ode, kind=kind)
+        with traj.failing_at(k, StageError):
+            state, recs, counts = step_regularized(
+                sops, state, tau, forcing_modal,
+                tol_ode=config.tolerances.ode, kind=kind)
         for dt, s, f0 in recs:
             sum_f += dt * f0
             sum_sf += dt * s * f0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -243,6 +244,18 @@ class Trajectory:
                 f"{check} reads consecutive snapshots as consecutive steps, "
                 f"but this trajectory records {len(self.snapshots)} snapshots "
                 f"of {len(self.step_reports)} steps (output stride {stride})")
+
+    @contextmanager
+    def failing_at(self, step: int, *errors):
+        """An error of the types ``errors`` raised in the block leaves with
+        this trajectory as ``partial_trajectory`` and ``step`` as
+        ``failed_step``."""
+        try:
+            yield
+        except errors as exc:
+            exc.partial_trajectory = self
+            exc.failed_step = step
+            raise
 
     # -- serialization -------------------------------------------------------
     def run_report(self) -> dict:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -155,12 +154,9 @@ class DamageSubproblem:
         scale of the KKT residual."""
         h = 2.0 * float(np.min(self.w))
         base = float(np.max(self.w)) / self.tau + 4.0 / h
-        a = self.material.a
-        if a.d2 is not None:
-            curv = np.max(np.abs(a.d2(self.chi_prev)) * self.load
-                          / np.maximum(self.w, 1e-300))
-            base += float(curv)
-        return base
+        curv = np.max(np.abs(self.material.a.d2(self.chi_prev)) * self.load
+                      / np.maximum(self.w, 1e-300))
+        return base + float(curv)
 
 
 def assemble_damage_subproblem(ops: Operators, material: MaterialLaw,
@@ -264,8 +260,7 @@ def _active_set_newton(sub: DamageSubproblem, x: np.ndarray, tol: float,
             J[1] += sub.w / sub.tau
             if has_smooth:
                 J[1] += sub.w * graph.derivative(chi_new)
-            if sub.material.a.d2 is not None:
-                J[1] += sub.material.a.d2(chi_new) * sub.load
+            J[1] += sub.material.a.d2(chi_new) * sub.load
             idx = np.flatnonzero(inactive)
             # rows and columns idx of J: neighbours in idx that are not
             # neighbours on the mesh do not couple
@@ -372,16 +367,12 @@ def run_weak(config: ScenarioConfig) -> Trajectory:
                                          u, chi, tau)
         # Newton start chi^{k-1} + tau chi_t^{k-1}, clipped to the obstacle set
         predictor = np.clip(2.0 * chi - chi_prev, lo, chi)
-        try:
+        with traj.failing_at(k, DamageSolveError, MomentumSolveError):
             chi_k, report = damage_step(sub, tol_inner=config.tolerances.inner,
                                         start=predictor)
             u_k, lin_res = momentum_step(ops, config.material, chi_k, u,
                                          u_prev2, tau, *means.rows(k - 1),
                                          tol_lin=config.tolerances.lin)
-        except (DamageSolveError, MomentumSolveError) as exc:
-            exc.partial_trajectory = traj
-            exc.failed_step = k
-            raise
         report.step = k
         report.linear_residual = lin_res
         traj.step_reports.append(report)
@@ -419,6 +410,16 @@ class TruncationReport:
     passed: bool = True
 
 
+def _steps(traj: Trajectory, check: str):
+    """(snapshot k, damage subproblem of step k) for each step k; raises at
+    once, not on the first iteration, when ``traj`` is strided."""
+    traj.require_every_step(check)
+    return ((cur, assemble_damage_subproblem(traj.ops, traj.material,
+                                             traj.potential, prev.u, prev.chi,
+                                             traj.tau))
+            for prev, cur in zip(traj.snapshots, traj.snapshots[1:]))
+
+
 def truncation_consistency_check(traj: Trajectory,
                                  tol: float = 1e-10) -> TruncationReport:
     """Verify chi^k = max(chi^k, 0) and P((chi^k)^+) <= P(chi^k) stepwise.
@@ -426,7 +427,7 @@ def truncation_consistency_check(traj: Trajectory,
     Only meaningful when a is nondecreasing, vanishing on the negative axis,
     and convex; otherwise the check is skipped with a warning.
     """
-    traj.require_every_step("the truncation consistency check")
+    steps = _steps(traj, "the truncation consistency check")
     report = validate_material(traj.material)
     if not report.degradation_shape_ok():
         return TruncationReport(
@@ -436,12 +437,7 @@ def truncation_consistency_check(traj: Trajectory,
 
     worst_neg = 0.0
     worst_gap = 0.0
-    tau = traj.tau
-    for k in range(1, len(traj)):
-        prev = traj.snapshots[k - 1]
-        cur = traj.snapshots[k]
-        sub = assemble_damage_subproblem(traj.ops, traj.material, traj.potential,
-                                         prev.u, prev.chi, tau)
+    for cur, sub in steps:
         worst_neg = min(worst_neg, float(np.min(cur.chi)))
         plus = np.maximum(cur.chi, 0.0)
         gap = sub.objective(plus) - sub.objective(cur.chi)
@@ -451,49 +447,37 @@ def truncation_consistency_check(traj: Trajectory,
                             worst_objective_gap=worst_gap, passed=passed)
 
 
-def one_sided_vi_residual(traj: Trajectory,
-                          test_bank: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-step minimum over the bank of the discrete one-sided variational
-    inequality's left-hand side, a (K,)-array.
+def one_sided_vi_residual(traj: Trajectory) -> np.ndarray:
+    """Per-step minimum of the discrete one-sided variational inequality's
+    left-hand side over every admissible test function, a (K,)-array.
 
-    For each step k and each nonpositive nodal test function phi it
-    evaluates, with the load l and the concave drift of
-    ``assemble_damage_subproblem`` at step k (the form the scheme satisfies
-    to solver tolerance),
+    With the load l and the concave drift of ``assemble_damage_subproblem``
+    at step k (the form the scheme satisfies to solver tolerance), the
+    left-hand side at a nodal test function phi is g . phi,
 
-      sum_i w_i chi_t_i phi_i + chi^T S phi + sum_i a'(chi_i) l_i phi_i
-      + sum_i w_i Wcheck'(chi^{k-1}_i) phi_i + B(chi, phi),
+      g = w chi_t + S chi + a'(chi) l + w Wcheck'(chi^{k-1})
+          (+ w Wbreve'(chi) for a smooth potential);
 
-    B = sum_i w_i Wbreve'(chi_i) phi_i for a smooth potential and
-    sum_i w_i [Wbreve(chi_i + phi_i) - Wbreve(chi_i)] otherwise.  A phi
-    that takes chi out of the domain of Wbreve is skipped.
+    for the indicator box the difference Wbreve(chi + phi) - Wbreve(chi)
+    vanishes on every admissible phi.  The admissible phi are nonpositive,
+    keep chi + phi in the domain [lo, ...) of Wbreve and are at most 1 in
+    size: -min(chi - lo, 1) <= phi <= 0.  The minimum over that box is
+
+      - sum_i g_i^+ min(chi_i - lo, 1),
+
+    continuous in chi at lo: a node resting on lo counts for nothing.
     """
-    bank = [np.asarray(phi, dtype=float) for phi in test_bank]
-    if any(np.any(phi > 0.0) for phi in bank):
-        raise ValueError("test functions must be nonpositive")
-    traj.require_every_step("the one-sided VI residual")
-    ops, material, potential = traj.ops, traj.material, traj.potential
-    out = np.full(len(traj) - 1, np.nan)
-    for k in range(1, len(traj)):
-        prev, cur = traj.snapshots[k - 1], traj.snapshots[k]
-        sub = assemble_damage_subproblem(ops, material, potential, prev.u,
-                                         prev.chi, traj.tau)
-        linear = (ops.w * cur.chi_t + material.a.d1(cur.chi) * sub.load
-                  + sub.drift)
+    a, potential = traj.material.a, traj.potential
+    lo = potential.convex_part.domain[0]
+    out = []
+    for cur, sub in _steps(traj, "the one-sided VI residual"):
+        g = (sub.w * cur.chi_t + banded_matvec(sub.S, cur.chi)
+             + a.d1(cur.chi) * sub.load + sub.drift)
         if potential.smooth:
-            linear += ops.w * potential.breve_dW(cur.chi)
-        b_cur = sub.breve_sum(cur.chi)
-        best = math.inf
-        for phi in bank:
-            b_new = sub.breve_sum(cur.chi + phi)
-            if not np.isfinite(b_new):
-                continue
-            lhs = np.dot(linear, phi) + banded_quadform(ops.S, cur.chi, phi)
-            if not potential.smooth:
-                lhs += b_new - b_cur
-            best = min(best, float(lhs))
-        out[k - 1] = best
-    return out
+            g += sub.w * potential.breve_dW(cur.chi)
+        out.append(-float(np.dot(np.maximum(g, 0.0),
+                                 np.minimum(cur.chi - lo, 1.0))))
+    return np.array(out)
 
 
 def apriori_monitors(traj: Trajectory) -> dict:

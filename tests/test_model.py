@@ -3,6 +3,7 @@ import pytest
 
 from damage_sim.model import (
     MaterialLaw,
+    ScalarFn,
     make_potential,
     scalar_fn,
     validate_material,
@@ -132,3 +133,10 @@ def test_material_invariants_enforced():
         _law(b_floor=0.0)
     with pytest.raises(ValueError):
         _law(gamma1=-0.1)
+
+
+def test_scalar_fn_requires_both_derivatives():
+    with pytest.raises(TypeError):
+        ScalarFn("f", np.square)
+    with pytest.raises(TypeError):
+        ScalarFn("f", np.square, lambda r: 2.0 * r)

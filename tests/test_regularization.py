@@ -7,10 +7,12 @@ from scipy.integrate import quad
 from damage_sim.model import make_potential
 from damage_sim.regularization import (
     _BUMP_MASS,
+    RegularizedFunction,
     _bump_raw,
     graph_indicator_box,
     graph_indicator_halfline,
     graph_quadratic,
+    graph_smooth,
     make_I_delta,
     make_W_delta,
     regularization_property_check,
@@ -186,12 +188,22 @@ def test_property_check_quadratic_mollification_exact():
     assert regularization_property_check(reg, grid).passed
 
 
+class _DoubledSlope(RegularizedFunction):
+    """A regularization whose first derivative is twice the true one."""
+
+    def eval_all(self, x):
+        v, d1, d2 = super().eval_all(x)
+        return v, 2.0 * d1, d2
+
+
 def test_property_check_flags_wrong_metadata_delta():
+    # a function with the slopes of delta = 0.025 that records delta = 0.05:
+    # |d1| reaches 1/0.025, which breaks |d1| <= 1/0.05, and only that bound
     grid = np.linspace(-2, 2, 401)
     reg = regularize(graph_indicator_halfline(), 0.05)
-    rep = regularization_property_check(reg, grid, claimed_delta=0.1)
-    assert not rep.passed
-    assert not rep.checks[1].passed    # |d1| <= 1/delta_claimed is violated
+    rep = regularization_property_check(
+        _DoubledSlope(reg.graph, reg.delta, reg.mollifier), grid)
+    assert [c.name for c in rep.checks if not c.passed] == ["first_derivative"]
 
 
 def test_property_check_empty_grid_rejected():
@@ -466,6 +478,28 @@ def test_smooth_prox_value_does_not_depend_on_the_batch():
     parts = np.concatenate([g.yosida(0.05, xs[i:i + 64])
                             for i in range(0, xs.size, 64)])
     assert whole.tobytes() == parts.tobytes()
+
+
+@pytest.mark.parametrize("domain,f0", [((-np.inf, np.inf), 0.5),
+                                       ((-np.inf, np.inf), -0.5),
+                                       ((-np.inf, 1.0), 0.5),
+                                       ((0.0, np.inf), -0.5)])
+def test_graph_smooth_rejects_an_unbounded_side_it_cannot_bracket(domain, f0):
+    # the bracket min(x, 0) - 1 needs fn(0) <= 0 on an unbounded lower side,
+    # max(x, 0) + 1 needs fn(0) >= 0 on an unbounded upper side
+    with pytest.raises(ValueError, match="unbounded"):
+        graph_smooth("shifted_identity", lambda r: np.asarray(r) + f0,
+                     np.ones_like, np.zeros_like, potential=np.zeros_like,
+                     domain=domain)
+
+
+def test_graph_smooth_brackets_an_unbounded_domain_in_closed_form():
+    # the double well's convex part: fn(0) = 0 and prox of far points
+    g = make_potential("smooth_double_well").convex_part
+    xs = np.array([-1e6, -3.0, 0.0, 2.5, 1e6])
+    y = g.prox(0.5, xs)
+    assert np.max(np.abs(y + 0.5 * g.minimal_section(y) - xs)
+                  / (1.0 + np.abs(xs))) <= 1e-14
 
 
 def test_log_barrier_prox_converges_at_the_clip_point():

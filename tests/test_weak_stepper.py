@@ -743,23 +743,13 @@ def _indicator_box_run(K=5):
         potential=make_potential("indicator_box", {"ell": 1.0})))
 
 
-def test_nonsmooth_vi_zero_test_function():
-    res = one_sided_vi_residual(_indicator_box_run(), [np.zeros(15)])
-    assert res.shape == (5,) and np.allclose(res, 0.0, atol=1e-15)
-
-
 def test_nonsmooth_vi_on_indicator_run_nonnegative():
     cfg = _basic_config(
         N=21, K=20, T=0.4,
         u0=lambda x: 0.5 * np.exp(-((x - 0.5) / 0.15) ** 2),
         potential=make_potential("indicator_box", {"ell": 1.0}), chi0=1.0)
-    traj = run_weak(cfg)
-    # the last entry takes chi below 0, out of the domain: it is skipped
-    bank = [np.full(21, -1e-3), -1e-3 * traj.final.chi, np.zeros(21),
-            np.full(21, -2.0)]
-    res = one_sided_vi_residual(traj, bank)
-    assert np.min(res) >= -1e-8
-    assert np.array_equal(res, one_sided_vi_residual(traj, bank[:3]))
+    res = one_sided_vi_residual(run_weak(cfg))
+    assert res.shape == (20,) and np.min(res) >= -1e-8
 
 
 def test_nonsmooth_vi_detects_monotonicity_violation():
@@ -768,14 +758,8 @@ def test_nonsmooth_vi_detects_monotonicity_violation():
     traj.snapshots[3].chi = traj.snapshots[3].chi + 0.05
     traj.snapshots[3].chi_t = (traj.snapshots[3].chi
                                - traj.snapshots[2].chi) / traj.tau
-    res = one_sided_vi_residual(traj, [np.full(15, -0.04)])
-    assert np.min(res) < -1e-4
-
-
-def test_nonsmooth_vi_rejects_positive_test_function():
-    traj = run_weak(_basic_config(K=1))
-    with pytest.raises(ValueError, match="nonpositive"):
-        one_sided_vi_residual(traj, [np.zeros(9), np.full(9, 0.1)])
+    res = one_sided_vi_residual(traj)
+    assert np.min(res) < -1e-4 and np.argmin(res) == 2
 
 
 def _edi_from_snapshots(traj):
@@ -784,8 +768,8 @@ def _edi_from_snapshots(traj):
 
 
 @pytest.mark.parametrize("check", [
-    lambda traj: one_sided_vi_residual(traj, [np.zeros(15)]),
-    truncation_consistency_check, apriori_monitors, _edi_from_snapshots],
+    one_sided_vi_residual, truncation_consistency_check, apriori_monitors,
+    _edi_from_snapshots],
     ids=["vi_residual", "truncation", "apriori", "edi_without_series"])
 def test_stepwise_checks_reject_a_strided_run(check):
     # each pairs snapshots k - 1 and k as the ends of step k; at output
